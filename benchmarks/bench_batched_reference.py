@@ -6,9 +6,11 @@ the batched SPICE layer: the circuit flattens once, every vector of a chunk
 solves as one :class:`~repro.spice.batched.BatchedDcSolver` batch, and the
 per-gate leakage of the whole chunk aggregates in one array pass, while
 reproducing the scalar :class:`~repro.spice.solver.DcSolver` oracle's
-numbers to well below 1e-9 relative error per leakage component.
+numbers to well below 1e-9 relative error per leakage component.  The oracle
+is :meth:`~repro.core.reference.ReferenceSimulator.estimate`, called once
+per vector.
 
-Both engines run with tightened solver tolerances so root-finder
+Both paths run with tightened solver tolerances so root-finder
 termination noise sits far below the agreement bar; the tolerances are
 recorded in the JSON alongside the timings.
 
@@ -32,7 +34,7 @@ from pathlib import Path
 from benchmarks.conftest import run_once
 from repro.circuit.generators import alu, array_multiplier, iscas_like
 from repro.circuit.logic import random_vectors
-from repro.core.reference import run_reference_campaign
+from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
 from repro.spice.solver import SolverOptions
 
@@ -49,7 +51,7 @@ VECTORS = int(os.environ.get("REFERENCE_BENCH_VECTORS", "64"))
 MIN_SPEEDUP = float(os.environ.get("REFERENCE_BENCH_MIN_SPEEDUP", "5.0"))
 MAX_RELATIVE_ERROR = 1.0e-9
 
-#: Tight solver settings shared by both engines (see module docstring).
+#: Tight solver settings shared by both paths (see module docstring).
 TIGHT_SOLVER = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
@@ -103,22 +105,16 @@ def _run_circuit(technology, circuit):
         technology,
         vectors=vectors,
         solver_options=TIGHT_SOLVER,
-        engine="batched",
     )
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_reference_campaign(
-        circuit,
-        technology,
-        vectors=vectors,
-        solver_options=TIGHT_SOLVER,
-        engine="scalar",
-    )
+    simulator = ReferenceSimulator(technology, solver_options=TIGHT_SOLVER)
+    scalar = [simulator.estimate(circuit, vector) for vector in vectors]
     scalar_seconds = time.perf_counter() - start
 
     assert all(r.metadata["solver_converged"] for r in batched.reports)
-    assert all(r.metadata["solver_converged"] for r in scalar.reports)
+    assert all(r.metadata["solver_converged"] for r in scalar)
     return {
         "gates": circuit.gate_count,
         "transistors": int(batched.reports[0].metadata["transistors"]),
@@ -128,12 +124,10 @@ def _run_circuit(technology, circuit):
         "speedup": scalar_seconds / batched_seconds
         if batched_seconds > 0
         else float("nan"),
-        "max_relative_error": _max_relative_error(
-            batched.reports, scalar.reports
-        ),
-        # Convergence cost of each engine: iterations/sweeps per solve.
+        "max_relative_error": _max_relative_error(batched.reports, scalar),
+        # Convergence cost of each path: iterations/sweeps per solve.
         "batched_solver": _solver_stats(batched.reports),
-        "scalar_solver": _solver_stats(scalar.reports),
+        "scalar_solver": _solver_stats(scalar),
     }
 
 

@@ -6,9 +6,12 @@ vectors x injection grids of structurally identical cell solves) and the
 Fig. 10/11 Monte-Carlo study (hundreds of identical-topology inverter-pair
 solves) — collapse into a handful of vectorized batched solves while
 reproducing the scalar :class:`~repro.spice.solver.DcSolver` oracle's leakage
-numbers to well below 1e-9 relative error.
+numbers to well below 1e-9 relative error.  The oracles are called directly:
+:meth:`~repro.gates.characterize.GateCharacterizer.characterize_per_cell` for
+characterization and :func:`~repro.variation.montecarlo.simulate_sample` per
+Monte-Carlo stream.
 
-Both engines run with tightened solver tolerances so that root-finder
+Both paths run with tightened solver tolerances so that root-finder
 termination noise (which would otherwise dominate at the default 5 uV /
 1e-8 V settings) sits far below the agreement bar; the tolerances are
 recorded in the JSON alongside the timings.
@@ -32,10 +35,19 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.device.presets import make_technology
-from repro.gates.characterize import CharacterizationOptions, GateLibrary
-from repro.gates.library import GateType
+from repro.gates.characterize import (
+    CharacterizationOptions,
+    GateCharacterizer,
+    GateLibrary,
+)
+from repro.gates.library import GateType, gate_spec
 from repro.spice.solver import SolverOptions
-from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
+from repro.utils.rng import spawn_streams
+from repro.variation.montecarlo import (
+    build_sample_task,
+    run_loaded_inverter_monte_carlo,
+    simulate_sample,
+)
 
 SEED = 2005
 MC_SAMPLES = int(os.environ.get("BATCHED_BENCH_MC_SAMPLES", "200"))
@@ -48,7 +60,7 @@ MC_SAMPLES = int(os.environ.get("BATCHED_BENCH_MC_SAMPLES", "200"))
 MIN_SPEEDUP = float(os.environ.get("BATCHED_BENCH_MIN_SPEEDUP", "5.0"))
 MAX_RELATIVE_ERROR = 1.0e-9
 
-#: Tight solver settings shared by both engines (see module docstring).
+#: Tight solver settings shared by both paths (see module docstring).
 TIGHT_SOLVER = SolverOptions(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 
 
@@ -70,11 +82,11 @@ def _relative(observed: float, expected: float) -> float:
     return abs(observed - expected) / max(abs(expected), 1e-30)
 
 
-def _characterization_error(batched: GateLibrary, scalar: GateLibrary) -> float:
+def _characterization_error(batched: GateLibrary, scalar: dict) -> float:
     """Max relative leakage error across every record, curve and component."""
     worst = 0.0
     for record in batched.cached_records():
-        oracle = scalar.characterization(record.gate_type_name, record.vector)
+        oracle = scalar[(record.gate_type_name, tuple(record.vector))]
         for name in ("subthreshold", "gate", "btbt"):
             worst = max(
                 worst,
@@ -93,23 +105,29 @@ def _characterization_error(batched: GateLibrary, scalar: GateLibrary) -> float:
     return worst
 
 
+def _characterize_per_cell(characterizer, gate_types) -> dict:
+    """Return the per-cell oracle records of ``gate_types`` by (type, vector)."""
+    return {
+        (gate_spec(gate_type).name, vector): characterizer.characterize_per_cell(
+            gate_type, vector
+        )
+        for gate_type in gate_types
+        for vector in gate_spec(gate_type).all_vectors()
+    }
+
+
 def _run_characterization(technology, gate_types):
-    batched_library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(engine="batched", solver=TIGHT_SOLVER),
-    )
+    options = CharacterizationOptions(solver=TIGHT_SOLVER)
+    batched_library = GateLibrary(technology, options=options)
     start = time.perf_counter()
     records = batched_library.precharacterize(gate_types)
     batched_seconds = time.perf_counter() - start
 
-    scalar_library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(engine="scalar", solver=TIGHT_SOLVER),
-    )
+    scalar = GateCharacterizer(technology, options=options)
     start = time.perf_counter()
-    scalar_library.precharacterize(gate_types)
+    oracle = _characterize_per_cell(scalar, gate_types)
     scalar_seconds = time.perf_counter() - start
-    return batched_library, scalar_library, records, batched_seconds, scalar_seconds
+    return batched_library, scalar, oracle, records, batched_seconds, scalar_seconds
 
 
 def _run_monte_carlo(technology):
@@ -118,26 +136,25 @@ def _run_monte_carlo(technology):
         technology,
         samples=MC_SAMPLES,
         rng=SEED,
-        engine="batched",
         solver_options=TIGHT_SOLVER,
     )
     batched_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_loaded_inverter_monte_carlo(
-        technology,
-        samples=MC_SAMPLES,
-        rng=SEED,
-        engine="scalar",
-        solver_options=TIGHT_SOLVER,
-    )
+    task = build_sample_task(technology, solver_options=TIGHT_SOLVER)
+    scalar = [simulate_sample(task, stream) for stream in spawn_streams(SEED, MC_SAMPLES)]
     scalar_seconds = time.perf_counter() - start
 
     worst = 0.0
     for component in ("subthreshold", "gate", "btbt"):
         for loaded in (True, False):
             observed = batched.values(component, loaded=loaded)
-            expected = scalar.values(component, loaded=loaded)
+            expected = np.array(
+                [
+                    (s.with_loading if loaded else s.without_loading).component(component)
+                    for s in scalar
+                ]
+            )
             worst = max(
                 worst, float(np.max(np.abs(observed - expected) / np.abs(expected)))
             )
@@ -153,11 +170,11 @@ def _run_workloads(technology, gate_types):
 def test_batched_solver_speedup(benchmark, d25s):
     gate_types = _gate_types()
     (
-        (batched_library, scalar_library, records, char_batched_s, char_scalar_s),
+        (batched_library, scalar, oracle, records, char_batched_s, char_scalar_s),
         (mc_batched_s, mc_scalar_s, mc_error),
     ) = run_once(benchmark, _run_workloads, d25s, gate_types)
 
-    char_error = _characterization_error(batched_library, scalar_library)
+    char_error = _characterization_error(batched_library, oracle)
     char_speedup = char_scalar_s / char_batched_s if char_batched_s > 0 else float("nan")
     mc_speedup = mc_scalar_s / mc_batched_s if mc_batched_s > 0 else float("nan")
 
@@ -177,9 +194,9 @@ def test_batched_solver_speedup(benchmark, d25s):
             "speedup": char_speedup,
             "max_relative_error": char_error,
             # Convergence cost, not just wall clock: per-solve iteration
-            # counts of each engine (sweeps or Newton iterations).
+            # counts of each path (sweeps or Newton iterations).
             "batched_solver_stats": batched_library.characterizer.solve_stats,
-            "scalar_solver_stats": scalar_library.characterizer.solve_stats,
+            "scalar_solver_stats": scalar.solve_stats,
         },
         "monte_carlo": {
             "samples": MC_SAMPLES,

@@ -38,12 +38,16 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.bench_batched_solver import _characterization_error
+from benchmarks.bench_batched_solver import _characterization_error, _characterize_per_cell
 from benchmarks.conftest import run_once
 from repro.circuit.generators import iscas_like
 from repro.circuit.logic import random_vectors
-from repro.core.reference import run_reference_campaign
-from repro.gates.characterize import CharacterizationOptions, GateLibrary
+from repro.core.reference import ReferenceSimulator, run_reference_campaign
+from repro.gates.characterize import (
+    CharacterizationOptions,
+    GateCharacterizer,
+    GateLibrary,
+)
 from repro.gates.library import GateType
 from repro.spice.solver import SolverOptions
 
@@ -58,7 +62,7 @@ SCALE = float(os.environ.get("NEWTON_BENCH_SCALE", "0.12"))
 MIN_SPEEDUP = float(os.environ.get("NEWTON_BENCH_MIN_SPEEDUP", "3.0"))
 MAX_RELATIVE_ERROR = 1.0e-9
 
-#: Tight tolerances shared by every engine, matching the other solver
+#: Tight tolerances shared by every solver, matching the other solver
 #: benchmarks: root-finder termination noise sits far below the bar.
 _TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 NEWTON = SolverOptions(method="newton", **_TIGHT)
@@ -79,15 +83,14 @@ def _json_path() -> Path:
     return Path(__file__).resolve().parent / "newton_solver.json"
 
 
-def _characterize(technology, gate_types, solver, engine="batched"):
+def _options(solver):
     # on_nonconverged="raise": a silently non-converged cell would corrupt
     # the agreement measurement, so the benchmark fails loudly instead.
-    library = GateLibrary(
-        technology,
-        options=CharacterizationOptions(
-            engine=engine, solver=solver, on_nonconverged="raise"
-        ),
-    )
+    return CharacterizationOptions(solver=solver, on_nonconverged="raise")
+
+
+def _characterize(technology, gate_types, solver):
+    library = GateLibrary(technology, options=_options(solver))
     start = time.perf_counter()
     library.precharacterize(gate_types)
     elapsed = time.perf_counter() - start
@@ -97,9 +100,11 @@ def _characterize(technology, gate_types, solver, engine="batched"):
 def _run_characterization(technology, gate_types):
     newton, newton_s = _characterize(technology, gate_types, NEWTON)
     relaxed, relaxed_s = _characterize(technology, gate_types, GAUSS_SEIDEL)
-    scalar, scalar_s = _characterize(
-        technology, gate_types, GAUSS_SEIDEL, engine="scalar"
+    start = time.perf_counter()
+    scalar = _characterize_per_cell(
+        GateCharacterizer(technology, options=_options(GAUSS_SEIDEL)), gate_types
     )
+    scalar_s = time.perf_counter() - start
     stats = newton.characterizer.solve_stats
     return {
         "gate_types": [gate_type.value for gate_type in gate_types],
@@ -130,34 +135,29 @@ def _run_reference(technology, circuit):
 
     start = time.perf_counter()
     newton = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=NEWTON,
-        engine="batched",
+        circuit, technology, vectors=vectors, solver_options=NEWTON
     )
     newton_s = time.perf_counter() - start
 
     start = time.perf_counter()
     relaxed = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL,
-        engine="batched",
+        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL
     )
     relaxed_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    scalar = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=GAUSS_SEIDEL,
-        engine="scalar",
-    )
+    simulator = ReferenceSimulator(technology, solver_options=GAUSS_SEIDEL)
+    scalar = [simulator.estimate(circuit, vector) for vector in vectors]
     scalar_s = time.perf_counter() - start
 
     # Every vector of the suite circuit must converge, fallback included.
     assert all(r.metadata["solver_converged"] for r in newton.reports)
-    assert all(r.metadata["solver_converged"] for r in scalar.reports)
+    assert all(r.metadata["solver_converged"] for r in scalar)
 
     # Bitwise batch-composition invariance: re-chunking the Newton campaign
     # must reproduce every per-gate component exactly.
     rechunked = run_reference_campaign(
-        circuit, technology, vectors=vectors, solver_options=NEWTON,
-        engine="batched", chunk_size=17,
+        circuit, technology, vectors=vectors, solver_options=NEWTON, chunk_size=17
     )
     chunk_invariant = _campaign_breakdowns(newton) == _campaign_breakdowns(
         rechunked
@@ -165,7 +165,7 @@ def _run_reference(technology, circuit):
     assert chunk_invariant
 
     worst = 0.0
-    for report_n, report_s in zip(newton.reports, scalar.reports):
+    for report_n, report_s in zip(newton.reports, scalar):
         for name, entry_s in report_s.per_gate.items():
             entry_n = report_n.per_gate[name]
             for component in ("subthreshold", "gate", "btbt"):

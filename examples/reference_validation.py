@@ -8,7 +8,8 @@ same-topology batches, which is what makes many-vector validation campaigns
 interactive:
 
 * ``run_reference_campaign`` is the reference twin of
-  ``run_vector_campaign`` (``engine="scalar"`` keeps the per-vector oracle);
+  ``run_vector_campaign`` (``ReferenceSimulator.estimate`` stays available
+  as the per-vector oracle);
 * chunking only bounds memory — results are bitwise independent of how the
   vector set is split into batches;
 * ``ParallelReferenceCampaign`` fans chunks across worker processes and
@@ -24,6 +25,7 @@ from repro.circuit.generators import iscas_like
 from repro.circuit.logic import random_vectors
 from repro.core import (
     LoadingAwareEstimator,
+    ReferenceSimulator,
     run_reference_campaign,
     run_vector_campaign,
 )
@@ -70,10 +72,10 @@ def main() -> None:
 
     # The scalar oracle produces the same numbers, one relaxation at a time;
     # two vectors are enough to see the per-vector cost difference.
+    simulator = ReferenceSimulator(technology)
     start = time.perf_counter()
-    run_reference_campaign(
-        circuit, technology, vectors=vectors[:2], engine="scalar"
-    )
+    for vector in vectors[:2]:
+        simulator.estimate(circuit, vector)
     scalar_seconds = (time.perf_counter() - start) / 2 * len(vectors)
     print(
         f"\nscalar-oracle estimate for {len(vectors)} vectors: "

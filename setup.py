@@ -17,5 +17,5 @@ setup(
     package_data={"repro": ["py.typed"]},
     include_package_data=True,
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
 from repro.circuit.netlist import Circuit
 
 
@@ -94,43 +92,3 @@ def fanout_histogram(circuit: Circuit) -> dict[int, int]:
         fanout = len(circuit.fanout_of(net))
         histogram[fanout] = histogram.get(fanout, 0) + 1
     return dict(sorted(histogram.items()))
-
-
-def to_networkx(circuit: Circuit) -> "nx.DiGraph":
-    """Return the gate-connectivity graph as a :class:`networkx.DiGraph`.
-
-    Vertices are gate names (with ``gate_type`` attributes); an edge u -> v
-    means a net driven by u feeds an input of v (with the net name as the
-    ``net`` attribute).  Useful for ad-hoc analysis and plotting.
-    """
-    graph = nx.DiGraph(name=circuit.name)
-    for gate in circuit.gates.values():
-        graph.add_node(gate.name, gate_type=gate.gate_type.value)
-    for gate in circuit.gates.values():
-        for net in gate.inputs:
-            driver = circuit.driver_of(net)
-            if driver is not None:
-                graph.add_edge(driver, gate.name, net=net)
-    return graph
-
-
-def reachable_from_inputs(circuit: Circuit) -> set[str]:
-    """Return the set of gates reachable from the primary inputs.
-
-    Gates outside this set have at least one input chain not rooted at a PI
-    (which :meth:`Circuit.validate` flags); the function exists mainly for
-    diagnostics on hand-written or imported netlists.
-    """
-    reachable_nets = set(circuit.primary_inputs)
-    reachable_gates: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for gate in circuit.gates.values():
-            if gate.name in reachable_gates:
-                continue
-            if all(net in reachable_nets for net in gate.inputs):
-                reachable_gates.add(gate.name)
-                reachable_nets.add(gate.output)
-                changed = True
-    return reachable_gates

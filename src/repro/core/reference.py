@@ -10,9 +10,7 @@ solved against all attached transistors, the result contains the full loading
 effect with no one-level approximation; the estimator's accuracy is measured
 against it (Fig. 12a).
 
-Two solve paths exist.  :meth:`ReferenceSimulator.estimate` is the original
-scalar path — one :class:`~repro.spice.solver.DcSolver` relaxation per input
-vector — retained as the oracle.  :meth:`ReferenceSimulator.estimate_batch`
+The production path is :meth:`ReferenceSimulator.estimate_batch`, which
 rides the batched SPICE layer: the circuit flattens *once*
 (:func:`repro.circuit.flatten.flatten_batch`) and all vectors of a chunk
 solve together as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
@@ -20,7 +18,10 @@ which is what makes full-suite, many-vector reference validation campaigns
 (:func:`run_reference_campaign`) feasible.  Chunks are memory-bounded and —
 because every per-column update of the batched solver is independent of its
 batch neighbours — the results are bitwise independent of how the vector set
-is chunked.
+is chunked.  :meth:`ReferenceSimulator.estimate` — one
+:class:`~repro.spice.solver.DcSolver` relaxation per input vector — is the
+oracle the tests and benchmarks compare it against, and the per-vector
+:class:`~repro.core.vectors.LeakageEstimator` the runtime experiment times.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from repro.utils.rng import RngLike
 #: largest suite circuits within tens of megabytes while still amortizing the
 #: vectorized per-node root finds over a wide batch.
 DEFAULT_REFERENCE_CHUNK_SIZE = 64
-
-#: Engine modes accepted by the reference campaign entry points.
-REFERENCE_ENGINES = ("batched", "scalar")
 
 
 def _missing_owner_error(gate: Gate, owners_present: Iterable[str]) -> RuntimeError:
@@ -105,7 +103,7 @@ class ReferenceSimulator:
         preflight_circuit(circuit, lint=self.lint)
 
     # ------------------------------------------------------------------ #
-    # scalar oracle path
+    # per-vector oracle path
     # ------------------------------------------------------------------ #
     def estimate(
         self, circuit: Circuit, input_assignment: dict[str, int]
@@ -147,7 +145,6 @@ class ReferenceSimulator:
                 "solver_converged": op.converged,
                 # The scalar DcSolver is always the relaxation oracle.
                 "solver_method": "gauss-seidel",
-                "engine": "scalar",
             },
         )
 
@@ -224,7 +221,6 @@ class ReferenceSimulator:
                 "solver_sweeps": int(op.sweeps[index]),
                 "solver_converged": bool(op.converged[index]),
                 "solver_method": op.method,
-                "engine": "batched",
                 "batch": batch,
             }
             if op.newton_iterations is not None:
@@ -252,7 +248,6 @@ def run_reference_campaign(
     rng: RngLike = None,
     temperature_k: float | None = None,
     solver_options: SolverOptions | None = None,
-    engine: str = "batched",
     chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
     lint: str = "raise",
 ) -> VectorCampaignResult:
@@ -268,13 +263,9 @@ def run_reference_campaign(
     vectors:
         Explicit vector set; when omitted, ``count`` random vectors are
         drawn using ``rng``.
-    engine:
-        ``"batched"`` (default) solves ``chunk_size``-bounded batches
-        through :meth:`ReferenceSimulator.estimate_batch`; ``"scalar"``
-        runs the original one-solve-per-vector oracle path.
     chunk_size:
-        Memory bound of the batched engine; has no effect on the results
-        (chunking is bitwise-neutral) nor on the scalar engine.
+        Memory bound of :meth:`ReferenceSimulator.estimate_batch`; has no
+        effect on the results (chunking is bitwise-neutral).
     lint:
         Netlist pre-flight policy (``"raise"`` | ``"warn"`` | ``"off"``),
         forwarded to :class:`ReferenceSimulator`.
@@ -283,8 +274,6 @@ def run_reference_campaign(
     :class:`repro.engine.parallel.ParallelReferenceCampaign`, which returns
     identical reports for the same inputs.
     """
-    if engine not in REFERENCE_ENGINES:
-        raise ValueError(f"engine must be one of {REFERENCE_ENGINES}, got {engine!r}")
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
     else:
@@ -294,10 +283,7 @@ def run_reference_campaign(
         # campaign would only surface later as NaN means.
         raise ValueError("no vectors to evaluate")
     simulator = ReferenceSimulator(technology, temperature_k, solver_options, lint=lint)
-    if engine == "batched":
-        reports = simulator.estimate_batch(circuit, vectors, chunk_size=chunk_size)
-    else:
-        reports = [simulator.estimate(circuit, vector) for vector in vectors]
+    reports = simulator.estimate_batch(circuit, vectors, chunk_size=chunk_size)
     return VectorCampaignResult(
         circuit_name=circuit.name,
         method=ReferenceSimulator.method_name,

@@ -10,10 +10,12 @@ implements ``estimate(circuit, assignment) -> CircuitLeakageReport``.
 
 Campaigns over the library-backed estimators
 (:class:`~repro.core.estimator.LoadingAwareEstimator` and its no-loading
-variant) route through the batched engine of :mod:`repro.engine` by default:
-the circuit + library are compiled once into flat LUT arrays and the whole
-vector set is answered in a few array passes.  ``engine="scalar"`` forces
-the per-vector scalar path, which the regression tests use as the oracle.
+variant) route through the batched engine of :mod:`repro.engine`: the
+circuit + library are compiled once into flat LUT arrays and the whole
+vector set is answered in a few array passes.  Any other estimator (e.g.
+:class:`~repro.core.reference.ReferenceSimulator`) is called once per
+vector.  The regression tests compare the engine path against direct
+per-vector ``estimator.estimate`` calls, the oracle.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from repro.circuit.netlist import Circuit
 from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS, CircuitLeakageReport
 from repro.utils.rng import RngLike
-
-#: Engine routing modes accepted by the campaign entry points.
-ENGINE_MODES = ("auto", "batched", "scalar")
 
 #: Width cap of the *scalar* exhaustive fallback of
 #: ``minimum_leakage_vector(strategy='exhaustive')``: one per-vector
@@ -52,7 +51,7 @@ class LeakageEstimator(Protocol):
 class VectorCampaignResult:
     """Reports of one estimator over a common vector set.
 
-    Scalar campaigns materialize one :class:`CircuitLeakageReport` per
+    Per-vector campaigns materialize one :class:`CircuitLeakageReport` per
     vector; batched-engine campaigns store the circuit totals as arrays
     (``precomputed_totals``) and expose ``reports`` as a lazy sequence that
     only builds full per-gate reports when indexed.
@@ -87,7 +86,7 @@ class VectorCampaignResult:
         """Return the campaign's estimation runtime in seconds.
 
         Batched-engine campaigns report the wall-clock of the single array
-        pass; scalar campaigns sum the per-report ``runtime_s`` metadata.
+        pass; per-vector campaigns sum the per-report ``runtime_s`` metadata.
         A report without that metadata raises ``ValueError`` — silently
         substituting 0.0 (the old behavior) made downstream speedup ratios
         divide by zero or report infinite speedups.
@@ -106,18 +105,6 @@ class VectorCampaignResult:
 def _engine_backed(estimator: LeakageEstimator) -> bool:
     """Return True when ``estimator`` is a library-backed LUT estimator."""
     return isinstance(estimator, LoadingAwareEstimator)
-
-
-def _check_engine_mode(engine: str, estimator: LeakageEstimator) -> bool:
-    """Validate ``engine`` and return whether to use the batched path."""
-    if engine not in ENGINE_MODES:
-        raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
-    if engine == "batched" and not _engine_backed(estimator):
-        raise ValueError(
-            "engine='batched' requires a library-backed estimator "
-            f"(got {type(estimator).__name__})"
-        )
-    return engine != "scalar" and _engine_backed(estimator)
 
 
 def _run_batched_campaign(
@@ -159,11 +146,13 @@ def run_vector_campaign(
     vectors: Iterable[dict[str, int]] | None = None,
     count: int = 100,
     rng: RngLike = None,
-    engine: str = "auto",
     lint: str = "raise",
     session=None,
 ) -> VectorCampaignResult:
     """Run ``estimator`` over a vector set and collect the reports.
+
+    Library-backed estimators are answered by the batched engine, any other
+    estimator by one ``estimate`` call per vector.
 
     Parameters
     ----------
@@ -171,10 +160,6 @@ def run_vector_campaign(
         Explicit vector set; when omitted, ``count`` random vectors are drawn
         using ``rng`` (pass the same seed to different estimators to compare
         them on identical vectors).
-    engine:
-        ``"auto"`` routes library-backed estimators through the batched
-        engine; ``"batched"`` requires it; ``"scalar"`` forces the
-        per-vector scalar path (the cross-check oracle).
     session:
         Optional :class:`repro.service.EstimationSession` the batched path
         compiles through; default is the process-default session, so
@@ -189,7 +174,6 @@ def run_vector_campaign(
     """
     from repro.analysis import preflight_circuit
 
-    use_batched = _check_engine_mode(engine, estimator)
     explicit_vectors = vectors is not None
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
@@ -200,7 +184,7 @@ def run_vector_campaign(
     preflight_circuit(
         circuit, lint=lint, vectors=vectors if explicit_vectors else None
     )
-    if vectors and use_batched:
+    if vectors and _engine_backed(estimator):
         return _run_batched_campaign(estimator, circuit, vectors, session)
     reports = [estimator.estimate(circuit, vector) for vector in vectors]
     method = reports[0].method if reports else getattr(estimator, "method_name", "?")
@@ -284,7 +268,6 @@ def minimum_leakage_vector(
     exhaustive: bool = False,
     count: int = 100,
     rng: RngLike = None,
-    engine: str = "auto",
     strategy: str | None = None,
     strategy_options=None,
     islands: int = 1,
@@ -294,6 +277,9 @@ def minimum_leakage_vector(
 ) -> tuple[dict[str, int], float]:
     """Return the input vector with the lowest estimated total leakage.
 
+    As in :func:`run_vector_campaign`, library-backed estimators are
+    evaluated by the batched engine and any other estimator per vector.
+
     Parameters
     ----------
     exhaustive:
@@ -301,8 +287,6 @@ def minimum_leakage_vector(
         small circuits); otherwise ``vectors`` or ``count`` random vectors
         are used.  Passing both ``exhaustive=True`` and an explicit
         ``vectors`` set is ambiguous and raises ``ValueError``.
-    engine:
-        Same routing switch as :func:`run_vector_campaign`.
     strategy:
         Optional search-strategy dispatch into :mod:`repro.optimize`:
         ``"exhaustive"`` evaluates every vector (the oracle), ``"greedy"``
@@ -313,11 +297,9 @@ def minimum_leakage_vector(
         classic behavior driven by ``vectors`` / ``exhaustive`` / ``count``.
         Strategies are incompatible with an explicit ``vectors=`` set or
         ``exhaustive=True`` (the strategy already decides the candidates).
-        ``engine=`` is validated exactly as in the classic path: the
-        heuristics only have a batched implementation (``engine='scalar'``
-        raises), while ``strategy='exhaustive'`` honors ``engine='scalar'``
-        by streaming the oracle through the per-vector estimator — behind
-        the same input-width guard as the batched oracle.
+        With a non-library estimator ``strategy='exhaustive'`` streams every
+        vector through the per-vector estimator, behind a tighter
+        input-width guard than the batched oracle.
     strategy_options / islands / max_workers / rng:
         Forwarded to :func:`repro.optimize.minimize_leakage` when a
         heuristic strategy is selected: per-strategy knobs
@@ -360,7 +342,7 @@ def minimum_leakage_vector(
                 "strategy= already decides the candidate set; drop the "
                 "explicit vectors=/exhaustive= arguments"
             )
-        # Uniform knob validation, shared by the batched and scalar
+        # Uniform knob validation, shared by the batched and per-vector
         # branches: the deterministic oracle takes no search knobs, and
         # silently dropping them would mask a caller who meant a heuristic.
         if strategy == "exhaustive":
@@ -371,21 +353,12 @@ def minimum_leakage_vector(
                     "strategy='exhaustive' does not parallelize over islands "
                     "or workers"
                 )
-        # Validate engine= exactly like the classic path (bad names raise,
-        # engine='batched' demands a library-backed estimator) so strategy=
-        # never silently swallows an engine request.
-        use_batched = _check_engine_mode(engine, estimator)
-        if strategy in ("greedy", "genetic"):
-            if not _engine_backed(estimator):
-                raise ValueError(
-                    f"strategy={strategy!r} requires a library-backed "
-                    f"estimator (got {type(estimator).__name__})"
-                )
-            if not use_batched:
-                raise ValueError(
-                    f"strategy={strategy!r} only has a batched "
-                    "implementation; drop engine='scalar'"
-                )
+        use_batched = _engine_backed(estimator)
+        if strategy in ("greedy", "genetic") and not use_batched:
+            raise ValueError(
+                f"strategy={strategy!r} requires a library-backed "
+                f"estimator (got {type(estimator).__name__})"
+            )
         if use_batched:
             result = minimize_leakage(
                 estimator,
@@ -398,9 +371,8 @@ def minimum_leakage_vector(
                 session=session,
             )
             return result.best_assignment, result.best_total
-        # strategy='exhaustive' without the batched engine (non-library
-        # estimator, or an explicit engine='scalar' oracle request): stream
-        # every vector through the scalar loop below.  The width guard is
+        # strategy='exhaustive' with a non-library estimator: stream every
+        # vector through the per-vector loop below.  The width guard is
         # tighter than the batched oracle's MAX_EXHAUSTIVE_INPUTS — one
         # estimator.estimate call per vector is ~1000x an engine row, so
         # 2**16 scalar solves is already minutes.
@@ -420,7 +392,6 @@ def minimum_leakage_vector(
         raise ValueError(
             "pass either exhaustive=True or an explicit vectors= set, not both"
         )
-    use_batched = _check_engine_mode(engine, estimator)
     if exhaustive:
         # Streamed, not materialized: 2**n vectors must never live at once.
         candidates: Iterable[dict[str, int]] = exhaustive_vectors(circuit)
@@ -434,7 +405,7 @@ def minimum_leakage_vector(
 
     best_vector: dict[str, int] | None = None
     best_total = float("inf")
-    if use_batched:
+    if _engine_backed(estimator):
         from repro.service import default_session
 
         # Stream through the session: exhaustive sweeps never materialize

@@ -12,15 +12,13 @@ For every (gate type, input vector) it builds a small characterization cell:
 
 The cell is solved once without loading (the nominal record) and once per
 (pin, injection) grid point, giving the per-pin response curves of
-:class:`~repro.gates.lut.GateVectorCharacterization`.  Two solver engines are
-available (``CharacterizationOptions.engine``):
-
-* ``"batched"`` (default) — all cells of a (gate type, vector), or of a whole
-  gate type, are one :class:`~repro.spice.batched.BatchedDcSolver` call: the
-  nominal cells solve first, then every (pin, injection) cell solves in a
-  single batch warm-started from its vector's nominal operating point;
-* ``"scalar"`` — the original one-:class:`DcSolver`-per-cell path, kept as
-  the cross-check oracle for the batched engine.
+:class:`~repro.gates.lut.GateVectorCharacterization`.  All cells of a
+(gate type, vector), or of a whole gate type, are one
+:class:`~repro.spice.batched.BatchedDcSolver` call: the nominal cells solve
+first, then every (pin, injection) cell solves in a single batch
+warm-started from its vector's nominal operating point.
+:meth:`GateCharacterizer.characterize_per_cell` — one :class:`DcSolver` per
+cell — is the oracle the tests and benchmarks compare it against.
 
 :class:`GateLibrary` wraps the characterizer with caching so a circuit-level
 run characterizes each (gate type, vector) at most once.
@@ -84,17 +82,12 @@ class CharacterizationOptions:
         upstream stage.
     solver:
         DC solver options used for every cell solve.
-    engine:
-        ``"batched"`` (default) solves a vector's whole injection grid — or a
-        gate type's whole (vector, pin, injection) sweep — as one batched DC
-        solve; ``"scalar"`` keeps the original per-cell :class:`DcSolver`
-        path as the cross-check oracle.
     on_nonconverged:
         Policy for cell solves that end without converging: ``"warn"``
         (default) emits a :class:`CharacterizationConvergenceWarning` naming
         the gate type, the offending vectors and the worst final voltage
         update; ``"raise"`` turns the condition into a ``RuntimeError``.
-        Applies to both engines — a record built from a non-converged
+        Applies to every cell solve — a record built from a non-converged
         operating point would otherwise silently carry wrong leakage.
     """
 
@@ -102,7 +95,6 @@ class CharacterizationOptions:
     include_drivers: bool = True
     driver_fanout: float = 1.0
     solver: SolverOptions = field(default_factory=SolverOptions)
-    engine: str = "batched"
     on_nonconverged: str = "warn"
 
     def __post_init__(self) -> None:
@@ -114,8 +106,6 @@ class CharacterizationOptions:
         object.__setattr__(self, "injection_grid", grid)
         if self.driver_fanout <= 0:
             raise ValueError("driver_fanout must be positive")
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown characterization engine {self.engine!r}")
         if self.on_nonconverged not in ("warn", "raise"):
             raise ValueError(
                 f"on_nonconverged must be 'warn' or 'raise', "
@@ -125,10 +115,10 @@ class CharacterizationOptions:
     def curve_grid(self) -> list[float]:
         """Return the response-curve abscissae: the grid with 0.0 included.
 
-        Both characterization engines build their :class:`ResponseCurve`
-        objects on exactly this grid (the zero point reuses the nominal
-        solve), so sharing the construction here keeps their records
-        structurally identical.
+        The batched path and :meth:`GateCharacterizer.characterize_per_cell`
+        build their :class:`ResponseCurve` objects on exactly this grid (the
+        zero point reuses the nominal solve), so sharing the construction
+        here keeps their records structurally identical.
         """
         grid = list(self.injection_grid)
         if 0.0 not in grid:
@@ -149,7 +139,7 @@ class CellSolution:
 
 @dataclass
 class _CellBuild:
-    """An unsolved characterization cell (shared by both solver engines)."""
+    """An unsolved characterization cell (shared by the batched and per-cell paths)."""
 
     netlist: TransistorNetlist
     initial: dict[str, float]
@@ -182,11 +172,7 @@ class GateCharacterizer:
         #: plus Newton fallback columns); an ``"auto"`` request never
         #: appears here, only what it resolved to.
         self.solve_stats: dict[str, object] = {
-            "method": (
-                "gauss-seidel"
-                if self.options.engine == "scalar"
-                else self.options.solver.method
-            ),
+            "method": self.options.solver.method,
             "solves": 0,
             "iterations": 0,
             "max_iterations": 0,
@@ -300,8 +286,6 @@ class GateCharacterizer:
         """Return the full characterization record for (gate type, vector)."""
         spec = gate_spec(gate_type)
         vector = self._check_vector(spec, vector)
-        if self.options.engine == "scalar":
-            return self._characterize_scalar(spec, vector)
         return self._characterize_batched(spec, [vector])[vector]
 
     def characterize_type(
@@ -311,10 +295,10 @@ class GateCharacterizer:
     ) -> dict[tuple[int, ...], GateVectorCharacterization]:
         """Characterize several vectors of one gate type in one pass.
 
-        With the batched engine this is the fastest path through the
-        characterizer: the nominal cells of every vector solve as one batch,
-        then the whole (vector, pin, injection) sweep solves as a second
-        batch warm-started from the nominal operating points.
+        This is the fastest path through the characterizer: the nominal
+        cells of every vector solve as one batch, then the whole
+        (vector, pin, injection) sweep solves as a second batch warm-started
+        from the nominal operating points.
         """
         spec = gate_spec(gate_type)
         if vectors is None:
@@ -324,17 +308,21 @@ class GateCharacterizer:
             raise ValueError("duplicate vectors in characterize_type")
         if not vectors:
             return {}
-        if self.options.engine == "scalar":
-            return {
-                vector: self._characterize_scalar(spec, vector)
-                for vector in vectors
-            }
         return self._characterize_batched(spec, vectors)
 
-    def _characterize_scalar(
-        self, spec: GateSpec, vector: tuple[int, ...]
+    def characterize_per_cell(
+        self, gate_type: GateType | str, vector: tuple[int, ...]
     ) -> GateVectorCharacterization:
-        """One-cell-at-a-time characterization (the oracle engine)."""
+        """Characterize (gate type, vector) one :meth:`solve_cell` at a time.
+
+        The reference for tests and benchmarks: every grid point is its own
+        scalar :class:`DcSolver` solve, independent of the batched solver
+        behind :meth:`characterize`, and the record is built on the same
+        :meth:`CharacterizationOptions.curve_grid`.  It is not cached and
+        not used by any production path.
+        """
+        spec = gate_spec(gate_type)
+        vector = self._check_vector(spec, vector)
         nominal_cell = self.solve_cell(spec.gate_type, vector)
         nominal = nominal_cell.dut_breakdown
 
@@ -346,9 +334,22 @@ class GateCharacterizer:
                 nominal_cell.netlist, nominal_cell.op, net
             )
 
+        grid = self.options.curve_grid()
         responses: dict[str, ResponseCurve] = {}
         for pin in self._characterizable_pins(spec):
-            responses[pin] = self._response_curve(spec, vector, pin, nominal)
+            values = [
+                nominal
+                if amps == 0.0
+                else self.solve_cell(spec.gate_type, vector, {pin: amps}).dut_breakdown
+                for amps in grid
+            ]
+            responses[pin] = ResponseCurve(
+                pin=pin,
+                injections=np.asarray(grid),
+                subthreshold=np.array([b.subthreshold for b in values]),
+                gate=np.array([b.gate for b in values]),
+                btbt=np.array([b.btbt for b in values]),
+            )
 
         return GateVectorCharacterization(
             gate_type_name=spec.name,
@@ -543,33 +544,6 @@ class GateCharacterizer:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _response_curve(
-        self,
-        spec: GateSpec,
-        vector: tuple[int, ...],
-        pin: str,
-        nominal: ComponentBreakdown,
-    ) -> ResponseCurve:
-        grid = self.options.curve_grid()
-        subthreshold, gate, btbt = [], [], []
-        for amps in grid:
-            if amps == 0.0:
-                breakdown = nominal
-            else:
-                breakdown = self.solve_cell(
-                    spec.gate_type, vector, {pin: amps}
-                ).dut_breakdown
-            subthreshold.append(breakdown.subthreshold)
-            gate.append(breakdown.gate)
-            btbt.append(breakdown.btbt)
-        return ResponseCurve(
-            pin=pin,
-            injections=np.asarray(grid),
-            subthreshold=np.asarray(subthreshold),
-            gate=np.asarray(gate),
-            btbt=np.asarray(btbt),
-        )
-
     def _build_driver(
         self, netlist: TransistorNetlist, instance: str, input_net: str, output_net: str
     ) -> None:
@@ -686,8 +660,8 @@ class GateLibrary:
         """Characterize every vector of the given gate types; return the count.
 
         Uncached vectors of a gate type are characterized together through
-        :meth:`GateCharacterizer.characterize_type`, so with the batched
-        engine a whole type costs two batched DC solves.
+        :meth:`GateCharacterizer.characterize_type`, so a whole type costs
+        two batched DC solves.
         """
         count = 0
         for gate_type in gate_types:

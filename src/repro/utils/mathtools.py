@@ -9,7 +9,6 @@ DC solver never sees an overflow or a kink.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -143,37 +142,3 @@ def relative_difference(value: float, reference: float) -> float:
 def percent_difference(value: float, reference: float) -> float:
     """Return the relative difference expressed in percent."""
     return 100.0 * relative_difference(value, reference)
-
-
-def interp_linear(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Piecewise-linear interpolation with flat extrapolation at the ends.
-
-    ``xs`` must be strictly increasing.  Flat (clamped) extrapolation is the
-    safe choice for characterized leakage responses: loading currents outside
-    the characterized range saturate at the last characterized value instead
-    of extrapolating an unphysical trend.
-    """
-    n = len(xs)
-    if n != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if n == 0:
-        raise ValueError("cannot interpolate empty tables")
-    if n == 1:
-        return float(ys[0])
-    if x <= xs[0]:
-        return float(ys[0])
-    if x >= xs[-1]:
-        return float(ys[-1])
-    lo, hi = 0, n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    x0, x1 = xs[lo], xs[hi]
-    y0, y1 = ys[lo], ys[hi]
-    if x1 == x0:
-        return float(y0)
-    frac = (x - x0) / (x1 - x0)
-    return float(y0 + frac * (y1 - y0))

@@ -103,14 +103,3 @@ def _canonical_state(state: object) -> object:
     if isinstance(state, (np.integer,)):
         return int(state)
     return state
-
-
-def spawn_child(rng: np.random.Generator) -> np.random.Generator:
-    """Return an independent child generator derived from ``rng``.
-
-    Used when one experiment needs several independent random streams (for
-    example inter-die versus intra-die variation samples) that must not
-    perturb each other's sequences when sample counts change.
-    """
-    seed = int(rng.integers(0, 2**63 - 1))
-    return np.random.default_rng(seed)

@@ -17,12 +17,12 @@ For every sample the driver
 4. solves both and records the leakage components of the inverter under
    study.
 
-Two solver engines are available: ``"batched"`` (default) flattens every
-sample and solves all loaded structures as one
+The driver flattens every sample and solves all loaded structures as one
 :class:`~repro.spice.batched.BatchedDcSolver` batch (and all unloaded twins
-as a second batch); ``"scalar"`` runs the original one-sample-at-a-time
-reference path.  Both consume identical random streams, so they simulate
-identical parameter draws and differ only at the solver-tolerance level.
+as a second batch).  :func:`simulate_sample` — one
+:class:`~repro.spice.solver.DcSolver` pair per sample — is the oracle the
+tests and benchmarks compare it against: it consumes a sample's random
+stream identically, so the two differ only at the solver-tolerance level.
 
 Two *samplers* are available on top: ``"mc"`` (default) draws pseudo-random
 parameters from per-sample ``SeedSequence.spawn`` streams; ``"qmc"`` draws
@@ -222,9 +222,9 @@ def _draw_sample_parameters(
 ) -> tuple[TechnologyParams, dict[str, float]]:
     """Draw one sample's shifted technology and intra-die Vth shifts.
 
-    Shared by the scalar and batched engines so both consume a stream in
-    exactly the same order (inter-die draws first, then one intra-die shift
-    per transistor of the loaded structure).
+    Shared by :func:`simulate_sample` and :func:`simulate_batch` so both
+    consume a stream in exactly the same order (inter-die draws first, then
+    one intra-die shift per transistor of the loaded structure).
     """
     inter = sample_inter_die(task.spec, rng)
     shifted = apply_inter_die(task.technology, inter)
@@ -272,14 +272,16 @@ def _study_circuits(task: SampleTask):
     return loaded_circuit, unloaded_circuit, assignment, _loaded_flat_names(loaded_circuit)
 
 
-def _simulate_one(
-    task: SampleTask,
-    shifted: TechnologyParams,
-    intra: dict[str, float],
-    circuits,
-) -> MonteCarloSample:
-    """Solve one sample's loaded and unloaded structures through the scalar path."""
-    loaded_circuit, unloaded_circuit, assignment, _ = circuits
+def simulate_sample(task: SampleTask, rng: np.random.Generator) -> MonteCarloSample:
+    """Run one Monte-Carlo sample, drawing everything from ``rng``.
+
+    The per-sample reference for tests and benchmarks: one scalar
+    :class:`~repro.spice.solver.DcSolver` solve per structure.  It consumes
+    ``rng`` exactly like :func:`simulate_batch` consumes each stream, so
+    the two see identical parameter draws.
+    """
+    loaded_circuit, unloaded_circuit, assignment, names = _study_circuits(task)
+    shifted, intra = _draw_sample_parameters(task, rng, names)
     with_loading, loaded_ok = _solve_target_leakage(
         loaded_circuit, shifted, assignment, intra, task.temperature_k,
         task.solver_options, task.on_nonconverged,
@@ -293,18 +295,6 @@ def _simulate_one(
         without_loading=without_loading,
         converged=loaded_ok and unloaded_ok,
     )
-
-
-def simulate_sample(task: SampleTask, rng: np.random.Generator) -> MonteCarloSample:
-    """Run one Monte-Carlo sample, drawing everything from ``rng``.
-
-    Sample ``i`` of a run consumes exactly stream ``i`` of
-    :func:`repro.utils.rng.spawn_streams`, so the serial and parallel
-    drivers produce bitwise-identical results for the same root seed.
-    """
-    circuits = _study_circuits(task)
-    shifted, intra = _draw_sample_parameters(task, rng, circuits[3])
-    return _simulate_one(task, shifted, intra, circuits)
 
 
 def _solve_parameter_sets(
@@ -379,7 +369,7 @@ def simulate_batch(
     """Run one Monte-Carlo sample per stream, solving them as two batches.
 
     Stream ``i`` is consumed exactly like :func:`simulate_sample` would, so
-    the parameter draws are bitwise-identical to the scalar engine's; the
+    the parameter draws are bitwise-identical to the per-sample oracle's; the
     flattened loaded structures of *all* samples then solve as one
     :class:`~repro.spice.batched.BatchedDcSolver` batch (the unloaded twins
     as a second one).  Because every per-column update of the batched solver
@@ -418,24 +408,6 @@ def simulate_batch_from_draws(
     return _keep_converged(task, _solve_parameter_sets(task, parameter_sets))
 
 
-def simulate_samples_from_draws(
-    task: SampleTask, draws: ParameterDraws
-) -> list[MonteCarloSample]:
-    """Scalar-engine twin of :func:`simulate_batch_from_draws` (one solve each)."""
-    circuits = _study_circuits(task)
-    names = circuits[3]
-    if draws.transistor_count != len(names):
-        raise ValueError(
-            f"draws carry {draws.transistor_count} intra-die axes but the "
-            f"loaded structure has {len(names)} transistors"
-        )
-    samples = []
-    for index in range(draws.sample_count):
-        shifted, intra = _draws_sample_parameters(task, draws, index, names)
-        samples.append(_simulate_one(task, shifted, intra, circuits))
-    return _keep_converged(task, samples)
-
-
 def _simulate_batch_star(
     args: tuple[SampleTask, Sequence[np.random.Generator]]
 ) -> list[MonteCarloSample]:
@@ -448,13 +420,6 @@ def _simulate_draws_batch_star(
 ) -> list[MonteCarloSample]:
     """Process-pool adapter: solve one pre-drawn parameter block as a batch."""
     return simulate_batch_from_draws(*args)
-
-
-def _simulate_draws_scalar_star(
-    args: tuple[SampleTask, ParameterDraws]
-) -> list[MonteCarloSample]:
-    """Process-pool adapter: solve one pre-drawn block sample by sample."""
-    return simulate_samples_from_draws(*args)
 
 
 def build_sample_task(
@@ -506,7 +471,6 @@ def run_loaded_inverter_monte_carlo(
     output_loads: int = 6,
     temperature_k: float | None = None,
     solver_options: SolverOptions | None = None,
-    engine: str = "batched",
     sampler: str = "mc",
     on_nonconverged: str = "warn",
 ) -> MonteCarloResult:
@@ -529,9 +493,6 @@ def run_loaded_inverter_monte_carlo(
     input_loads / output_loads:
         Number of inverters loading the input and output nets (6 and 6 in
         Fig. 10).
-    engine:
-        ``"batched"`` (default) solves all samples as two batched DC solves;
-        ``"scalar"`` runs the original per-sample reference path.
     sampler:
         ``"mc"`` (default) draws pseudo-random parameters from per-sample
         spawned streams; ``"qmc"`` draws the whole block from a scrambled
@@ -546,13 +507,11 @@ def run_loaded_inverter_monte_carlo(
     ``SeedSequence.spawn``-derived stream (sample ``i`` uses stream ``i``);
     with ``sampler="qmc"`` the whole parameter block is drawn up front and
     sliced.  Either way the result is bitwise-identical to
-    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed,
-    engine and sampler.
+    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed
+    and sampler.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if engine not in ("batched", "scalar"):
-        raise ValueError(f"unknown Monte-Carlo engine {engine!r}")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     task = build_sample_task(
@@ -569,18 +528,9 @@ def run_loaded_inverter_monte_carlo(
         draws = draw_qmc_parameters(
             task.spec, samples, loaded_transistor_count(input_loads, output_loads), rng
         )
-        if engine == "batched":
-            collected = simulate_batch_from_draws(task, draws)
-        else:
-            collected = simulate_samples_from_draws(task, draws)
+        collected = simulate_batch_from_draws(task, draws)
     else:
-        streams = spawn_streams(rng, samples)
-        if engine == "batched":
-            collected = simulate_batch(task, streams)
-        else:
-            collected = _keep_converged(
-                task, [simulate_sample(task, stream) for stream in streams]
-            )
+        collected = simulate_batch(task, spawn_streams(rng, samples))
     return MonteCarloResult(
         spec=task.spec,
         input_value=input_value,

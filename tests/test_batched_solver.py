@@ -264,16 +264,13 @@ class TestBatchedSolverEquivalence:
 @pytest.mark.slow
 class TestBatchedCharacterizationEquivalence:
     def test_records_match_scalar_engine(self, bulk25):
-        kwargs = dict(injection_grid=SMALL_GRID, solver=TIGHT)
-        scalar = GateCharacterizer(
-            bulk25, options=CharacterizationOptions(engine="scalar", **kwargs)
-        )
-        batched = GateCharacterizer(
-            bulk25, options=CharacterizationOptions(engine="batched", **kwargs)
+        characterizer = GateCharacterizer(
+            bulk25,
+            options=CharacterizationOptions(injection_grid=SMALL_GRID, solver=TIGHT),
         )
         for vector in ((0, 1), (1, 1)):
-            want = scalar.characterize(GateType.NAND2, vector)
-            got = batched.characterize(GateType.NAND2, vector)
+            want = characterizer.characterize_per_cell(GateType.NAND2, vector)
+            got = characterizer.characterize(GateType.NAND2, vector)
             assert got.output_voltage == pytest.approx(
                 want.output_voltage, abs=1e-9
             )
@@ -310,10 +307,6 @@ class TestBatchedCharacterizationEquivalence:
         characterizer = GateCharacterizer(bulk25)
         with pytest.raises(ValueError, match="duplicate"):
             characterizer.characterize_type(GateType.INV, [(0,), (0,)])
-
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            CharacterizationOptions(engine="gpu")
 
 
 @pytest.mark.slow

@@ -53,6 +53,29 @@ class TestVectorCampaign:
         assert campaign.mean_total() > 0
         assert campaign.runtime_s() >= 0.0
 
+    def test_non_library_estimator_is_called_per_vector(self):
+        """Dispatch follows the estimator type: anything that is not a
+        LoadingAwareEstimator is answered by one estimate() call per vector."""
+
+        class PerVectorEstimator:
+            method_name = "loading-aware"
+
+            def __init__(self):
+                self.calls = []
+
+            def estimate(self, circuit, assignment):
+                self.calls.append(dict(assignment))
+                return _synthetic_report(sub=1e-9 * (1 + len(self.calls)))
+
+        circuit = nand_tree(1)
+        vectors = [{"in0": 0, "in1": 1}, {"in0": 1, "in1": 1}]
+        estimator = PerVectorEstimator()
+        campaign = run_vector_campaign(estimator, circuit, vectors=vectors)
+        assert estimator.calls == vectors
+        assert campaign.precomputed_totals is None
+        assert campaign.totals("subthreshold").tolist() == pytest.approx([2e-9, 3e-9])
+        assert campaign.runtime_s() == pytest.approx(0.5)
+
     def test_explicit_vectors_shared_between_estimators(self, library_d25s):
         circuit = nand_tree(2)
         vectors = list(random_vectors(circuit, 4, rng=3))

@@ -24,7 +24,7 @@ from repro.core.report import REPORT_COMPONENTS
 from repro.engine import ParallelReferenceCampaign
 from repro.spice.solver import SolverOptions
 
-#: Solver-tolerance-level agreement between the scalar and batched engines
+#: Solver-tolerance-level agreement between the scalar oracle and the batched path
 #: (default tolerances; the benchmark pins 1e-11 at tightened ones).
 ENGINE_RTOL = 1e-6
 
@@ -101,7 +101,7 @@ class TestBatchedMatchesScalar:
         batched = simulator.estimate_batch(circuit, vectors)
         for report, vector in zip(batched, vectors):
             _assert_reports_match(report, simulator.estimate(circuit, vector))
-            assert report.metadata["engine"] == "batched"
+            assert report.metadata["batch"] == len(vectors)
             assert report.metadata["solver_converged"]
 
     def test_multiplier(self, d25s):
@@ -159,24 +159,15 @@ class TestReferenceCampaign:
     def test_batched_campaign_matches_scalar_campaign(self, d25s):
         circuit = inverter_chain(3)
         vectors = [{"in": 0}, {"in": 1}]
-        batched = run_reference_campaign(
-            circuit, d25s, vectors=vectors, engine="batched"
-        )
-        scalar = run_reference_campaign(
-            circuit, d25s, vectors=vectors, engine="scalar"
-        )
-        assert batched.method == scalar.method == "reference"
-        assert batched.vector_count == scalar.vector_count == 2
+        batched = run_reference_campaign(circuit, d25s, vectors=vectors)
+        simulator = ReferenceSimulator(d25s)
+        scalar = [simulator.estimate(circuit, vector) for vector in vectors]
+        assert batched.method == scalar[0].method == "reference"
+        assert batched.vector_count == len(scalar) == 2
         np.testing.assert_allclose(
-            batched.totals(), scalar.totals(), rtol=ENGINE_RTOL
+            batched.totals(), [report.total for report in scalar], rtol=ENGINE_RTOL
         )
         assert batched.runtime_s() > 0.0
-
-    def test_engine_validation(self, d25s):
-        with pytest.raises(ValueError, match="engine"):
-            run_reference_campaign(
-                inverter_chain(1), d25s, vectors=[{"in": 0}], engine="quantum"
-            )
 
     def test_empty_vector_set_rejected(self, d25s):
         with pytest.raises(ValueError, match="no vectors"):
@@ -202,8 +193,6 @@ class TestReferenceCampaign:
             assert _bitwise_equal(a, b)
 
     def test_parallel_driver_validation(self, d25s):
-        with pytest.raises(ValueError, match="engine"):
-            ParallelReferenceCampaign(d25s, engine="nope")
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelReferenceCampaign(d25s, chunk_size=0)
         with pytest.raises(ValueError, match="max_workers"):

@@ -297,7 +297,6 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                engine="batched",
                 solver=SolverOptions(method="newton-sparse", **TIGHT),
             ),
         )
@@ -313,7 +312,6 @@ class TestBackendReporting:
             bulk25,
             options=CharacterizationOptions(
                 injection_grid=(-1e-6, 1e-6),
-                engine="batched",
                 solver=SolverOptions(method="auto", **TIGHT),
             ),
         )

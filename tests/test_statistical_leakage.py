@@ -336,26 +336,6 @@ class TestQmcMonteCarlo:
         assert pooled.metadata["sampler"] == "qmc"
         assert _samples_bitwise_equal(serial, pooled)
 
-    def test_qmc_serial_vs_pool_bitwise_scalar(self, d25s):
-        serial = run_loaded_inverter_monte_carlo(
-            d25s,
-            samples=8,
-            rng=11,
-            input_loads=2,
-            output_loads=2,
-            sampler="qmc",
-            engine="scalar",
-        )
-        pooled = ParallelMonteCarlo(
-            d25s,
-            input_loads=2,
-            output_loads=2,
-            max_workers=2,
-            engine="scalar",
-            sampler="qmc",
-        ).run(8, rng=11)
-        assert _samples_bitwise_equal(serial, pooled)
-
 
 @pytest.mark.slow
 class TestNonconvergedPolicies:
@@ -385,8 +365,7 @@ class TestNonconvergedPolicies:
                 on_nonconverged="raise",
             )
 
-    @pytest.mark.parametrize("engine", ["batched", "scalar"])
-    def test_drop_policy_counts_dropped(self, d25s, engine):
+    def test_drop_policy_counts_dropped(self, d25s):
         result = run_loaded_inverter_monte_carlo(
             d25s,
             samples=2,
@@ -394,7 +373,6 @@ class TestNonconvergedPolicies:
             input_loads=2,
             output_loads=2,
             solver_options=NONCONVERGING,
-            engine=engine,
             on_nonconverged="drop",
         )
         assert result.sample_count == 0

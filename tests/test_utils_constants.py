@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.utils.constants import (
-    ROOM_TEMPERATURE_K,
-    intrinsic_carrier_concentration,
-    silicon_bandgap,
-    thermal_voltage,
-)
+from repro.utils.constants import silicon_bandgap, thermal_voltage
 from repro.utils import units
 
 
@@ -39,28 +34,12 @@ class TestSiliconBandgap:
             silicon_bandgap(-1.0)
 
 
-class TestIntrinsicCarrierConcentration:
-    def test_reference_value_at_300k(self):
-        assert intrinsic_carrier_concentration(ROOM_TEMPERATURE_K) == pytest.approx(
-            1.0e10, rel=1e-6
-        )
-
-    def test_increases_steeply_with_temperature(self):
-        ratio = intrinsic_carrier_concentration(400.0) / intrinsic_carrier_concentration(300.0)
-        assert ratio > 100.0
-
-    def test_rejects_non_positive_temperature(self):
-        with pytest.raises(ValueError):
-            intrinsic_carrier_concentration(0.0)
-
-
 class TestUnitConversions:
     def test_current_roundtrip(self):
         assert units.amps_to_nanoamps(units.nanoamps_to_amps(123.0)) == pytest.approx(123.0)
 
     def test_power_conversions(self):
         assert units.watts_to_microwatts(1.5e-6) == pytest.approx(1.5)
-        assert units.microwatts_to_watts(2.0) == pytest.approx(2.0e-6)
 
     def test_temperature_roundtrip(self):
         assert units.kelvin_to_celsius(units.celsius_to_kelvin(27.0)) == pytest.approx(27.0)
@@ -69,7 +48,3 @@ class TestUnitConversions:
     def test_length_conversions(self):
         assert units.nm_to_m(50.0) == pytest.approx(5.0e-8)
         assert units.nm_to_cm(50.0) == pytest.approx(5.0e-6)
-        assert units.angstrom_to_nm(6.7) == pytest.approx(0.67)
-
-    def test_voltage_conversion(self):
-        assert units.millivolts_to_volts(333.0) == pytest.approx(0.333)

@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 
 from repro.utils.mathtools import (
     clamp,
-    interp_linear,
     log1p_exp,
     percent_difference,
     relative_difference,
     safe_exp,
     smooth_step,
 )
-from repro.utils.rng import ensure_rng, spawn_child
-from repro.utils.tables import format_key_values, format_table
+from repro.utils.rng import ensure_rng
+from repro.utils.tables import format_table
 
 
 class TestSafeExp:
@@ -76,33 +75,6 @@ class TestRelativeDifference:
             relative_difference(1.0, 0.0)
 
 
-class TestInterpLinear:
-    def test_interior_interpolation(self):
-        assert interp_linear(1.5, [0.0, 1.0, 2.0], [0.0, 10.0, 20.0]) == pytest.approx(15.0)
-
-    def test_flat_extrapolation(self):
-        xs, ys = [0.0, 1.0], [3.0, 5.0]
-        assert interp_linear(-10.0, xs, ys) == 3.0
-        assert interp_linear(+10.0, xs, ys) == 5.0
-
-    def test_single_point_table(self):
-        assert interp_linear(42.0, [1.0], [7.0]) == 7.0
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            interp_linear(0.5, [0.0, 1.0], [1.0])
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8, unique=True),
-        st.floats(min_value=-200, max_value=200),
-    )
-    def test_result_within_value_bounds(self, xs, x):
-        xs = sorted(xs)
-        ys = [2.0 * v for v in xs]
-        value = interp_linear(x, xs, ys)
-        assert min(ys) - 1e-9 <= value <= max(ys) + 1e-9
-
-
 class TestRng:
     def test_seed_reproducibility(self):
         a = ensure_rng(123).integers(0, 1000, size=5)
@@ -116,12 +88,6 @@ class TestRng:
     def test_rejects_bad_type(self):
         with pytest.raises(TypeError):
             ensure_rng("not-a-seed")
-
-    def test_spawn_child_independent(self):
-        parent = ensure_rng(5)
-        child = spawn_child(parent)
-        assert child is not parent
-        assert list(child.integers(0, 10, 3)) != [None]
 
 
 class TestTables:
@@ -139,7 +105,3 @@ class TestTables:
     def test_scientific_rendering_for_extreme_values(self):
         text = format_table(["v"], [[1.23e-9]])
         assert "e-09" in text
-
-    def test_format_key_values(self):
-        text = format_key_values({"alpha": 1, "b": 2.0})
-        assert "alpha" in text and ":" in text
