@@ -54,6 +54,7 @@ Monte-Carlo driver relies on this to stay reproducible across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -307,8 +308,14 @@ class BatchedDcSolver:
         self._hi_limit = self._vdd + self.options.bracket_margin
         self._mid_rail = 0.5 * self._vdd
 
-        self._problems = self._build_problems(reference)
-        self._problems_by_row = {p.row: p for p in self._problems}
+        # Injected current per free node (free-row order) and instance.
+        injections = [net.injections() for net in self.netlists]
+        self._injection = np.array(
+            [
+                [inj.get(self.node_names[row], 0.0) for inj in injections]
+                for row in self._free_rows
+            ]
+        ).reshape(len(self._free_rows), self.batch)
         self._cluster_edges = self._build_cluster_edges(reference)
         self._cluster_gate_rows = np.array(
             [e[0] for e in self._cluster_edges], dtype=int
@@ -356,16 +363,22 @@ class BatchedDcSolver:
                         "structurally from the reference"
                     )
 
-    def _build_problems(self, reference: TransistorNetlist) -> list[_NodeProblem]:
+    @cached_property
+    def _problems(self) -> list[_NodeProblem]:
+        """Per-free-node Gauss–Seidel data, in free-row order.
+
+        Built on first use — the Gauss–Seidel sweeps, their cluster pass
+        or the Newton fallback — because each problem subsets the packed
+        device grid, and a converged Newton solve never needs one.
+        """
+        reference = self.netlists[0]
         attachment_index = reference.attachments()
-        injections = [net.injections() for net in self.netlists]
         transistor_slot = {t.name: i for i, t in enumerate(reference.transistors)}
 
         problems: list[_NodeProblem] = []
-        for node in reference.nodes.values():
-            if node.kind is not NodeKind.FREE:
-                continue
-            attachments = attachment_index[node.name]
+        for position, row in enumerate(self._free_rows):
+            name = self.node_names[row]
+            attachments = attachment_index[name]
             slots = [transistor_slot[t.name] for t, _terminal in attachments]
             terminal_rows = np.array(
                 [
@@ -377,7 +390,6 @@ class BatchedDcSolver:
                 ],
                 dtype=int,
             )
-            row = self.node_index[node.name]
             self_masks = (terminal_rows == row)[:, :, None]
             weights = np.array(
                 [
@@ -385,21 +397,22 @@ class BatchedDcSolver:
                     for term in _TERMINALS
                 ]
             )[:, :, None]
-            injection = np.array(
-                [inj.get(node.name, 0.0) for inj in injections]
-            )
             problems.append(
                 _NodeProblem(
-                    name=node.name,
+                    name=name,
                     row=row,
                     terminal_rows=terminal_rows,
                     self_masks=self_masks,
                     weights=weights,
                     packed=self.packed.rows(slots),
-                    injection=injection,
+                    injection=self._injection[position],
                 )
             )
         return problems
+
+    @cached_property
+    def _problems_by_row(self) -> dict[int, _NodeProblem]:
+        return {p.row: p for p in self._problems}
 
     def _build_cluster_edges(self, reference: TransistorNetlist):
         """Return (gate_row, drain_row, source_row, sign) per free-free channel."""
@@ -748,8 +761,7 @@ class BatchedDcSolver:
         items.sort(key=lambda item: item[0])
         for _first_row, members, group in items:
             self._solve_one_cluster(
-                voltages, hi_limit, group, active[group], members,
-                self._problems_by_row,
+                voltages, hi_limit, group, active[group], members
             )
 
     def _build_cluster_components(self) -> list["_ClusterComponent"]:
@@ -796,10 +808,9 @@ class BatchedDcSolver:
         group: np.ndarray,
         group_abs: np.ndarray,
         members: list[int],
-        problems_by_row: dict[int, _NodeProblem],
     ) -> None:
         member_problems = [
-            problems_by_row[row].take_columns(group_abs) for row in members
+            self._problems_by_row[row].take_columns(group_abs) for row in members
         ]
         member_rows = np.array(members)
         base = voltages[member_rows][:, group]

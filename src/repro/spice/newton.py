@@ -199,11 +199,7 @@ class _NewtonAssembler:
         self.res_source = np.array(res_source, dtype=int)
         self.jac_target = np.array(jac_target, dtype=int)
         self.jac_source = np.array(jac_source, dtype=int)
-
-        # Injections in free-node order; the problems list is built from the
-        # same FREE-filtered node iteration as _free_rows.
-        assert [p.row for p in solver._problems] == list(solver._free_rows)
-        self.injection = np.stack([p.injection for p in solver._problems])
+        self.injection = solver._injection  # (N, B), free-row order
 
     def _scatter_currents(self, currents, grid_shape) -> np.ndarray:
         stacked = np.stack(

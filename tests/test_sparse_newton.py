@@ -15,7 +15,12 @@ Covers the backend abstraction introduced around
 * the characterization-cache fingerprint: the new solver options fork
   caches, strict loads refuse a backend mismatch;
 * the scalable layered-DAG generator the large-system benchmark builds on
-  (``iscas_like(n_gates)``), which must be lint-clean by construction.
+  (``iscas_like(n_gates)``), which must be lint-clean by construction;
+* a structural L+U fill guard on the SuperLU factorization the backend
+  runs (no timing);
+* the lazily built Gauss–Seidel data: a converged Newton solve builds no
+  per-node problem, and the Newton injection vector follows
+  ``netlist.injections()`` in free-row order.
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ from repro.analysis.netlist_lint import lint_circuit
 from repro.circuit.flatten import flatten_batch
 from repro.circuit.generators import iscas_like, layered_logic
 from repro.circuit.graph import logic_depth
+from repro.device.batched import PackedMosfets
 from repro.device.mosfet import Mosfet
 from repro.gates.cache import (
     characterization_fingerprint,
@@ -38,14 +44,17 @@ from repro.gates.characterize import (
 )
 from repro.gates.library import GateType
 from repro.gates.templates import build_gate_transistors
+from repro.spice import batched
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import NodeKind, TransistorNetlist
 from repro.spice.newton import (
     DenseJacobianMemoryError,
+    _NewtonAssembler,
     dense_jacobian_bytes,
     resolve_newton_method,
 )
 from repro.spice.solver import SolverOptions
+from repro.spice.sparse import SparseNewtonBackend
 
 TIGHT = dict(voltage_tol=1e-11, xtol=1e-14, max_sweeps=250)
 TIGHT_DENSE = SolverOptions(method="newton", **TIGHT)
@@ -141,29 +150,31 @@ class TestSparseBatchInvariance:
         assert np.array_equal(recombined, whole.voltages)
 
 
+def _pinned_cell(technology, injection):
+    """A floating gate node whose KCL has no root for large injections."""
+    netlist = TransistorNetlist(vdd=technology.vdd)
+    netlist.add_node("float_gate")
+    netlist.add_transistor(
+        name="m1",
+        mosfet=Mosfet(technology.nmos),
+        gate="float_gate",
+        drain="vdd",
+        source="gnd",
+        bulk="gnd",
+        owner="g",
+    )
+    netlist.add_current_source("float_gate", injection)
+    return netlist
+
+
 @pytest.mark.slow
 class TestSparseFallback:
-    def _pinned_cell(self, technology, injection):
-        netlist = TransistorNetlist(vdd=technology.vdd)
-        netlist.add_node("float_gate")
-        netlist.add_transistor(
-            name="m1",
-            mosfet=Mosfet(technology.nmos),
-            gate="float_gate",
-            drain="vdd",
-            source="gnd",
-            bulk="gnd",
-            owner="g",
-        )
-        netlist.add_current_source("float_gate", injection)
-        return netlist
-
     def test_pinned_node_falls_back_bitwise_to_gauss_seidel(self, bulk25):
         sparse = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE
+            [_pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_SPARSE
         ).solve()
         relaxed = BatchedDcSolver(
-            [self._pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_GS
+            [_pinned_cell(bulk25, 1e-3)], 300.0, TIGHT_GS
         ).solve()
         assert sparse.fallback[0]
         assert sparse.method == "newton-sparse"
@@ -171,8 +182,8 @@ class TestSparseFallback:
 
     def test_mixed_fallback_batch_stays_column_independent(self, bulk25):
         netlists = [
-            self._pinned_cell(bulk25, 1e-3),
-            self._pinned_cell(bulk25, 1e-12),
+            _pinned_cell(bulk25, 1e-3),
+            _pinned_cell(bulk25, 1e-12),
         ]
         whole = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
         assert whole.all_converged
@@ -180,6 +191,134 @@ class TestSparseFallback:
         for index, netlist in enumerate(netlists):
             alone = BatchedDcSolver([netlist], 300.0, TIGHT_SPARSE).solve()
             assert np.array_equal(alone.voltages[:, 0], whole.voltages[:, index])
+
+
+class TestFillGuard:
+    def test_lu_fill_stays_within_six_times_the_pattern(self, bulk25):
+        """The column ordering must exploit the KCL Jacobian's structural
+        symmetry: ``COLAMD`` fills L+U to 13.7x nnz(A) here, minimum degree
+        on A+Aᵀ to 3.9x.  Factors through the backend's own call."""
+        circuit = iscas_like(600)
+        flattened = flatten_batch(
+            circuit, bulk25, [{pi: 0 for pi in circuit.primary_inputs}]
+        )
+        solver = BatchedDcSolver(
+            flattened.netlist_views(),
+            300.0,
+            SolverOptions(method="newton-sparse"),
+        )
+        backend = SparseNewtonBackend(_NewtonAssembler(solver))
+        voltages = solver._initial_matrix(flattened.initial_voltages())
+        _residual, data = backend.assemble(
+            solver.packed, voltages, backend.assembler.injection
+        )
+        lu = backend.factor(data[:, 0])
+        assert lu.L.nnz + lu.U.nnz <= 6 * backend.nnz
+
+
+class _Constructions:
+    """Count ``_NodeProblem`` builds and ``PackedMosfets.rows`` subsets."""
+
+    def __init__(self, monkeypatch):
+        self.problems = 0
+        self.row_subsets = 0
+        problem_init = batched._NodeProblem.__init__
+        rows = PackedMosfets.rows
+
+        def counted_init(problem, *args, **kwargs):
+            self.problems += 1
+            problem_init(problem, *args, **kwargs)
+
+        def counted_rows(packed, indices):
+            self.row_subsets += 1
+            return rows(packed, indices)
+
+        monkeypatch.setattr(batched._NodeProblem, "__init__", counted_init)
+        monkeypatch.setattr(PackedMosfets, "rows", counted_rows)
+
+
+def _injected_batch(technology):
+    """NAND2 cells with distinct injections at two free nodes per instance."""
+    netlists = []
+    for k, vector in enumerate(((1, 0), (0, 0), (1, 1))):
+        netlist = _nand2_cell(technology, vector, injection=(k + 1) * 1e-7)
+        inner = [
+            name
+            for name, node in netlist.nodes.items()
+            if node.kind is NodeKind.FREE and name != "out"
+        ]
+        netlist.add_current_source(inner[0], -(k + 2) * 3e-8)
+        netlist.add_current_source(inner[0], 1e-9)
+        netlists.append(netlist)
+    return netlists
+
+
+class TestLazyGaussSeidelSetup:
+    @pytest.mark.parametrize("options", [TIGHT_DENSE, TIGHT_SPARSE])
+    def test_converged_newton_solve_builds_no_node_problem(
+        self, bulk25, monkeypatch, options
+    ):
+        counts = _Constructions(monkeypatch)
+        op = BatchedDcSolver(_mixed_batch(bulk25), 300.0, options).solve()
+        assert op.all_converged and not op.fallback.any()
+        assert counts.problems == 0
+        assert counts.row_subsets == 0
+
+    def test_fallback_builds_problems_mid_solve(self, bulk25, monkeypatch):
+        counts = _Constructions(monkeypatch)
+        solver = BatchedDcSolver(
+            [_pinned_cell(bulk25, 1e-3)],
+            300.0,
+            TIGHT_SPARSE,
+        )
+        assert counts.problems == 0
+        op = solver.solve()
+        assert op.fallback[0]
+        assert counts.problems > 0
+
+    def test_injection_follows_netlist_in_free_row_order(self, bulk25):
+        netlists = _injected_batch(bulk25)
+        solver = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE)
+        assembler = _NewtonAssembler(solver)
+        expected = [
+            [net.injections().get(solver.node_names[row], 0.0) for net in netlists]
+            for row in assembler.free_rows
+        ]
+        assert np.count_nonzero(expected) == 2 * len(netlists)
+        assert assembler.injection.tolist() == expected
+        # The lazily built Gauss–Seidel problems carry the same rows.
+        assert [p.row for p in solver._problems] == assembler.free_rows.tolist()
+        assert [p.injection.tolist() for p in solver._problems] == expected
+
+    @pytest.mark.parametrize("options", [TIGHT_DENSE, TIGHT_SPARSE])
+    def test_newton_without_free_nodes(self, bulk25, options):
+        netlist = TransistorNetlist(vdd=bulk25.vdd)
+        netlist.add_node("g", fixed_voltage=0.0)
+        netlist.add_transistor(
+            name="m1",
+            mosfet=Mosfet(bulk25.nmos),
+            gate="g",
+            drain="vdd",
+            source="gnd",
+            bulk="gnd",
+            owner="g",
+        )
+        op = BatchedDcSolver([netlist, netlist], 300.0, options).solve()
+        assert op.all_converged and not op.fallback.any()
+
+    @pytest.mark.slow
+    def test_gauss_seidel_does_not_depend_on_setup_time(self, bulk25):
+        """Problems built ahead of the sweeps or by them give the same bits,
+        and the per-node injections reach the relaxation."""
+        netlists = _injected_batch(bulk25)
+        ahead = BatchedDcSolver(netlists, 300.0, TIGHT_GS)
+        assert ahead._problems  # forces the lazy build before solving
+        early = ahead.solve()
+        late = BatchedDcSolver(netlists, 300.0, TIGHT_GS).solve()
+        assert early.all_converged
+        assert np.array_equal(early.voltages, late.voltages)
+        sparse = BatchedDcSolver(netlists, 300.0, TIGHT_SPARSE).solve()
+        assert np.max(np.abs(sparse.voltages - late.voltages)) <= 1e-9
 
 
 class TestAutoDispatch:
