@@ -22,6 +22,7 @@ numerical behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from repro.circuit.logic import propagate
 from repro.circuit.netlist import Circuit
 from repro.device.params import TechnologyParams
 from repro.gates.templates import build_gate_transistors, internal_seed_levels
-from repro.spice.netlist import Node, TransistorNetlist
+from repro.spice.netlist import SUPPLY, Node, NodeKind, TransistorNetlist
 
 
 @dataclass
@@ -65,6 +66,15 @@ class FlattenedCircuit:
     def initial_voltages(self) -> dict[str, float]:
         """Return rail-based initial guesses for every free node.
 
+        Each free node starts at ``vdd`` times its :meth:`seed_levels`
+        entry.
+        """
+        vdd = self.netlist.vdd
+        return {node: vdd * level for node, level in self.seed_levels().items()}
+
+    def seed_levels(self) -> dict[str, int]:
+        """Return the logic level (0/1) every free node is seeded at.
+
         Circuit nets start at the rail implied by their logic value.  Gate
         internal nodes start at the rail their template actually settles
         them at (:func:`~repro.gates.templates.internal_seed_levels`): a
@@ -75,15 +85,14 @@ class FlattenedCircuit:
         with mA-scale residuals that the damped Newton solver grinds on
         for dozens of iterations at large circuit sizes.
         """
-        vdd = self.netlist.vdd
-        guesses = {
-            net: vdd * value
+        levels = {
+            net: value
             for net, value in self.net_values.items()
             if not self.circuit.is_primary_input(net)
         }
         for gate_name, nodes in self.internal_nodes.items():
             gate = self.circuit.gates[gate_name]
-            levels = internal_seed_levels(
+            gate_levels = internal_seed_levels(
                 gate.gate_type,
                 [self.net_values[net] for net in gate.inputs],
                 self.net_values[gate.output],
@@ -92,8 +101,34 @@ class FlattenedCircuit:
             for node in nodes:
                 # A KeyError here means the template created a node its
                 # seed table does not know — fail loudly, not silently.
-                guesses[node] = vdd * levels[node[prefix:]]
-        return guesses
+                levels[node] = gate_levels[node[prefix:]]
+        return levels
+
+    def supply_views(self, vdd: Sequence[float]) -> list[TransistorNetlist]:
+        """Return one view of the netlist per supply voltage in ``vdd``.
+
+        View ``b`` carries the rails :func:`flatten` fixes at a technology
+        whose supply is ``vdd[b]`` (the supply node, and every primary
+        input at ``vdd[b]`` times its logic value) as fresh nodes.  Every
+        other node object, and the transistor list, is shared with this
+        netlist — so the device parameters of the views are the flattened
+        ones; a batched solve over varied devices passes them separately
+        (:class:`~repro.device.batched.DeviceColumns`).
+        """
+        pi_values = {
+            net: self.net_values[net] for net in self.circuit.primary_inputs
+        }
+        views: list[TransistorNetlist] = []
+        for supply in vdd:
+            view = TransistorNetlist(vdd=float(supply))
+            nodes = dict(self.netlist.nodes)
+            nodes[SUPPLY] = view.nodes[SUPPLY]
+            for net, value in pi_values.items():
+                nodes[net] = Node(net, NodeKind.FIXED, view.vdd * value)
+            view.nodes = nodes
+            view.transistors = self.netlist.transistors
+            views.append(view)
+        return views
 
 
 def _build_netlist(

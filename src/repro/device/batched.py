@@ -13,6 +13,13 @@ only Monte-Carlo inter-die variation perturbs device parameters between batch
 instances) are stored with a broadcast axis of length one, so a
 characterization batch pays almost nothing for carrying its parameters.
 
+A grid whose slots draw on a few device flavours can also be given as
+:class:`DeviceColumns` — one device per (flavour, instance) plus a
+slot-to-flavour index and a ``(T, B)`` threshold-shift array — which packs
+the bias-independent constants once per (flavour, instance) instead of once
+per transistor.  The Monte-Carlo driver builds its batches this way, its
+two structures sharing one set of flavour constants.
+
 The arithmetic deliberately mirrors :meth:`Mosfet._compute` operation for
 operation (same normalization, same source/drain ordering, same assembly
 order), and the bias-independent pre-computations reuse the scalar model
@@ -22,7 +29,7 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +144,51 @@ def _compress(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DeviceColumns:
+    """A ``(T slots, B instances)`` device grid given per device flavour.
+
+    Slot ``t`` of instance ``b`` is the device ``devices[slot_device[t]][b]``
+    with threshold shift ``vth_shift[t, b]`` — the packed arrays equal those
+    of the :class:`~repro.device.mosfet.Mosfet` grid holding exactly those
+    devices and shifts.
+
+    Attributes
+    ----------
+    devices:
+        ``G`` sequences of ``B`` :class:`DeviceParams` each, one per
+        distinct device flavour (e.g. NMOS and PMOS at one width).
+    slot_device:
+        ``(T,)`` flavour index of every transistor slot.
+    vth_shift:
+        ``(T, B)`` per-transistor threshold shifts in volts.
+    constants:
+        Packed flavour constants by temperature, filled on first use.
+        Grids built over the same ``devices`` may pass one shared dict, so
+        the constants are computed once for all of them.
+    """
+
+    devices: Sequence[Sequence[DeviceParams]]
+    slot_device: np.ndarray
+    vth_shift: np.ndarray
+    constants: dict[float, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def flavour_constants(self, temperature_k: float) -> np.ndarray:
+        """Return the ``(field, G, B)`` bias-independent flavour constants."""
+        cached = self.constants.get(temperature_k)
+        if cached is None:
+            cached = np.array(
+                [
+                    [_device_constants(device, temperature_k) for device in devices]
+                    for devices in self.devices
+                ]
+            ).transpose(2, 0, 1)
+            self.constants[temperature_k] = cached
+        return cached
+
+
+@dataclass(frozen=True)
 class ComponentCurrents:
     """Vectorized leakage-component currents of a packed transistor grid.
 
@@ -160,23 +212,59 @@ class PackedMosfets:
         ``T`` sequences of ``B`` :class:`Mosfet` instances each; slot ``t``
         of instance ``b`` must be the same *topological* transistor (same
         polarity) in every instance, while its parameters (flavour shifts,
-        per-instance ``vth_shift``) may differ.
+        per-instance ``vth_shift``) may differ.  Alternatively the same grid
+        as :class:`DeviceColumns`.
     temperature_k:
         The solve temperature; every temperature-dependent quantity is baked
         in at construction.
     """
 
-    def __init__(self, grid: Sequence[Sequence[Mosfet]], temperature_k: float) -> None:
+    def __init__(
+        self, grid: Sequence[Sequence[Mosfet]] | DeviceColumns, temperature_k: float
+    ) -> None:
+        self.temperature_k = float(temperature_k)
+        if isinstance(grid, DeviceColumns):
+            raw = self._pack_columns(grid)
+        else:
+            raw = self._pack_grid(grid)
+        self.slots, self.batch = raw.shape[1:]
+        for name, values in zip(_ARRAY_FIELDS, raw):
+            setattr(self, name, _compress(values))
+        self._btbt_stacked_cache = None
+
+        signs = np.unique(self.sign)
+        if not np.all(np.isin(signs, (-1.0, 1.0))):  # pragma: no cover - defensive
+            raise ValueError("transistor polarity signs must be +/-1")
+        if self.sign.shape[1] != 1:
+            raise ValueError("a transistor slot must keep one polarity across the batch")
+
+    def _pack_columns(self, columns: DeviceColumns) -> np.ndarray:
+        """Return the ``(field, T, B)`` raw parameters of a flavour grid."""
+        vth_shift = np.asarray(columns.vth_shift, dtype=float)
+        slot_device = np.asarray(columns.slot_device, dtype=int)
+        if vth_shift.ndim != 2 or 0 in vth_shift.shape:
+            raise ValueError("PackedMosfets needs at least one transistor and instance")
+        if slot_device.shape != vth_shift.shape[:1]:
+            raise ValueError("slot_device must give one flavour per transistor slot")
+        batch = vth_shift.shape[1]
+        if any(len(devices) != batch for devices in columns.devices):
+            raise ValueError("every device flavour needs one device per instance")
+        # Each flavour's constants broadcast to the slots that use it, then
+        # the per-transistor shift rides on top of the static threshold
+        # exactly as in the Mosfet-grid path.
+        raw = columns.flavour_constants(self.temperature_k)[:, slot_device]
+        raw[1] += vth_shift
+        return raw
+
+    def _pack_grid(self, grid: Sequence[Sequence[Mosfet]]) -> np.ndarray:
+        """Return the ``(field, T, B)`` raw parameters of a Mosfet grid."""
         if not grid or not grid[0]:
             raise ValueError("PackedMosfets needs at least one transistor and instance")
-        self.temperature_k = float(temperature_k)
-        self.slots = len(grid)
-        self.batch = len(grid[0])
-
+        slots, batch = len(grid), len(grid[0])
         memo: dict[DeviceParams, tuple] = {}
-        raw = np.empty((len(_ARRAY_FIELDS), self.slots, self.batch))
+        raw = np.empty((len(_ARRAY_FIELDS), slots, batch))
         for t, row in enumerate(grid):
-            if len(row) != self.batch:
+            if len(row) != batch:
                 raise ValueError("all transistor slots must have the same batch size")
             first = row[0]
             if all(mosfet is first for mosfet in row):
@@ -199,15 +287,7 @@ class PackedMosfets:
                 # vth_shift rides on top of the static threshold, exactly as
                 # the scalar path adds it after effective_threshold().
                 raw[1, t, b] += mosfet.vth_shift
-        for name, values in zip(_ARRAY_FIELDS, raw):
-            setattr(self, name, _compress(values))
-        self._btbt_stacked_cache = None
-
-        signs = np.unique(self.sign)
-        if not np.all(np.isin(signs, (-1.0, 1.0))):  # pragma: no cover - defensive
-            raise ValueError("transistor polarity signs must be +/-1")
-        if self.sign.shape[1] != 1:
-            raise ValueError("a transistor slot must keep one polarity across the batch")
+        return raw
 
     # ------------------------------------------------------------------ #
     # subsetting

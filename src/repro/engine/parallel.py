@@ -12,10 +12,10 @@ embarrassingly parallel and CPU-bound, i.e. exactly the workload a process
 pool (not threads: the solves are pure Python/NumPy) speeds up.
 
 The unit of distribution is a *contiguous batch* of samples, not a single
-sample: each worker flattens its chunk and runs two
-:class:`~repro.spice.batched.BatchedDcSolver` solves, so process-level
-parallelism multiplies the batched solver's vectorization instead of
-replacing it.
+sample: each worker flattens the two structures once for its chunk and runs
+two :class:`~repro.spice.batched.BatchedDcSolver` solves over the chunk's
+per-sample devices, so process-level parallelism multiplies the batched
+solver's vectorization instead of replacing it.
 
 Reproducibility is the design constraint: both the serial driver and this
 parallel one derive sample ``i``'s generator from the same

@@ -9,8 +9,9 @@ both batched workloads of this library:
 
 * gate characterization — one cell topology swept over (input vector, pin,
   injection-current) grids, and
-* Monte-Carlo process variation — one circuit flattened per sample with
-  shifted technologies and per-transistor Vth shifts.
+* Monte-Carlo process variation — one circuit flattened once, its columns
+  differing in supply voltage, per-sample device flavours and
+  per-transistor Vth shifts (passed as ``devices``, see below).
 
 Solution scheme
 ---------------
@@ -59,7 +60,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.device.batched import PackedMosfets
+from repro.device.batched import DeviceColumns, PackedMosfets
 from repro.spice.analysis import (
     BatchedComponentBreakdown,
     batched_leakage_by_owner,
@@ -253,6 +254,12 @@ class BatchedDcSolver:
     options:
         Same options as the scalar solver; ``xtol`` bounds the per-node root
         accuracy, ``voltage_tol`` the sweep convergence.
+    devices:
+        Optional device grid for the batch, replacing the netlists' own
+        :class:`~repro.device.mosfet.Mosfet` parameters: netlists that share
+        one transistor list (per-column views of one flattened circuit) get
+        their per-column devices and threshold shifts here.  Slot polarities
+        must match the reference netlist's transistors.
     """
 
     def __init__(
@@ -260,6 +267,7 @@ class BatchedDcSolver:
         netlists: Sequence[TransistorNetlist],
         temperature_k: float,
         options: SolverOptions | None = None,
+        devices: DeviceColumns | None = None,
     ) -> None:
         if not netlists:
             raise ValueError("need at least one netlist")
@@ -283,13 +291,25 @@ class BatchedDcSolver:
         ]
 
         # Device grid: slot t, instance b.
-        self.packed = PackedMosfets(
-            [
-                [net.transistors[t].mosfet for net in self.netlists]
-                for t in range(len(reference.transistors))
-            ],
-            self.temperature_k,
-        )
+        if devices is None:
+            self.packed = PackedMosfets(
+                [
+                    [net.transistors[t].mosfet for net in self.netlists]
+                    for t in range(len(reference.transistors))
+                ],
+                self.temperature_k,
+            )
+        else:
+            self.packed = PackedMosfets(devices, self.temperature_k)
+            polarity = [t.mosfet.polarity.sign for t in reference.transistors]
+            if (self.packed.slots, self.packed.batch) != (
+                len(polarity),
+                self.batch,
+            ) or not np.array_equal(self.packed.sign[:, 0], polarity):
+                raise ValueError(
+                    "devices must give one device per transistor slot and "
+                    "netlist, with the reference netlist's polarities"
+                )
 
         # Per-transistor terminal rows, used by the post-solve analysis.
         self._transistor_rows = np.array(

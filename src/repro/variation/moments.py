@@ -510,8 +510,9 @@ def propagate_loaded_inverter_moments(
                     _shift_parameters(task, [(axes[i], si), (axes[j], sj)])
                 )
         solve_columns += len(probes)
+        probe_samples = _solve_parameter_sets(task, probes)
         probe_values = {
-            loaded: _component_values(_solve_parameter_sets(task, probes), loaded)
+            loaded: _component_values(probe_samples, loaded)
             for loaded in (True, False)
         }
         for loaded in (True, False):

@@ -17,12 +17,17 @@ For every sample the driver
 4. solves both and records the leakage components of the inverter under
    study.
 
-The driver flattens every sample and solves all loaded structures as one
-:class:`~repro.spice.batched.BatchedDcSolver` batch (and all unloaded twins
-as a second batch).  :func:`simulate_sample` — one
-:class:`~repro.spice.solver.DcSolver` pair per sample — is the oracle the
-tests and benchmarks compare it against: it consumes a sample's random
-stream identically, so the two differ only at the solver-tolerance level.
+The batched driver flattens each structure once per batch, at the nominal
+technology: the samples of a batch differ only in numbers (supply and
+primary-input rails, free-node seeds, per-transistor device parameters), so
+all loaded structures solve as one
+:class:`~repro.spice.batched.BatchedDcSolver` batch over a per-sample
+device grid (and all unloaded twins as a second batch), bitwise equal to
+flattening every sample at its shifted technology.  :func:`simulate_sample`
+— one flatten and :class:`~repro.spice.solver.DcSolver` pair per sample —
+is the oracle the tests and benchmarks compare it against: it consumes a
+sample's random stream identically, so the two differ only at the
+solver-tolerance level.
 
 Two *samplers* are available on top: ``"mc"`` (default) draws pseudo-random
 parameters from per-sample ``SeedSequence.spawn`` streams; ``"qmc"`` draws
@@ -45,17 +50,22 @@ the mean and standard deviation) are computed from.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+import repro
 from repro.circuit.flatten import flatten
 from repro.circuit.generators import loaded_inverter_cluster
-from repro.device.params import TechnologyParams
+from repro.device.batched import DeviceColumns
+from repro.device.params import DeviceParams, TechnologyParams
 from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
+from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, SolverOptions
 from repro.utils.rng import RngLike, spawn_streams
 from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
@@ -74,6 +84,9 @@ SAMPLERS = ("mc", "qmc")
 
 #: Valid non-convergence policies.
 NONCONVERGED_POLICIES = ("warn", "raise", "drop")
+
+#: Source directory of the package; convergence warnings skip its frames.
+_PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
 class MonteCarloConvergenceWarning(UserWarning):
@@ -155,12 +168,26 @@ def _check_policy(on_nonconverged: str) -> str:
     return on_nonconverged
 
 
-def _handle_nonconvergence(policy: str, message: str, stacklevel: int) -> None:
+def _external_stacklevel() -> int:
+    """Return the ``warnings`` stacklevel of the first caller outside ``repro``.
+
+    Counted from the function that calls this one (level 1), so a warning
+    names the user's line however deep inside the package it was raised.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
+def _handle_nonconvergence(policy: str, message: str) -> None:
     """Apply the non-convergence policy for one solve (or batch of solves)."""
     if policy == "raise":
         raise RuntimeError(message)
     if policy == "warn":
-        warnings.warn(message, MonteCarloConvergenceWarning, stacklevel=stacklevel)
+        warnings.warn(
+            message, MonteCarloConvergenceWarning, stacklevel=_external_stacklevel()
+        )
     # "drop": the caller excludes the affected samples; nothing to emit.
 
 
@@ -191,7 +218,6 @@ def _solve_target_leakage(
             f"Monte-Carlo solve of {circuit.name!r} did not converge within "
             f"{solver_options.max_sweeps} sweeps; largest final voltage "
             f"update {op.max_update:.3e} V",
-            stacklevel=4,
         )
     return leakage_by_owner(flattened.netlist, op)[_TARGET_GATE], bool(op.converged)
 
@@ -297,6 +323,59 @@ def simulate_sample(task: SampleTask, rng: np.random.Generator) -> MonteCarloSam
     )
 
 
+def _device_grids(
+    netlists: list[TransistorNetlist],
+    nominal: TechnologyParams,
+    technologies: list[TechnologyParams],
+    intra_maps: list[dict[str, float]],
+) -> list[DeviceColumns]:
+    """Return the per-sample device grid of each netlist flattened at ``nominal``.
+
+    :func:`~repro.variation.spec.apply_inter_die` never touches a device's
+    width, so re-widening sample ``b``'s shifted flavour to a slot's width
+    gives the field-identical device ``flatten(circuit, technologies[b],
+    ...)`` builds for that slot: the packed arrays equal the per-sample
+    flattened netlists', bit for bit.  The grids share one set of flavours
+    (and one constants cache), so the device constants are computed once
+    per (flavour, sample) for all netlists together.
+    """
+    flavours: dict[DeviceParams, int] = {}
+    slot_devices = [
+        np.array(
+            [flavours.setdefault(t.mosfet.device, len(flavours)) for t in net.transistors]
+        )
+        for net in netlists
+    ]
+    devices = []
+    for device in flavours:
+        polarity, width = device.polarity, device.width_nm
+        if device != nominal.device(polarity).replace(width_nm=width):
+            raise ValueError(
+                f"a {polarity.name} transistor differs from its technology "
+                "flavour beyond its width; per-sample devices cannot be derived"
+            )
+        column = []
+        for shifted in technologies:
+            flavour = shifted.device(polarity)
+            column.append(
+                flavour if flavour.width_nm == width else flavour.replace(width_nm=width)
+            )
+        devices.append(column)
+    constants: dict[float, np.ndarray] = {}
+    return [
+        DeviceColumns(
+            devices,
+            slot_device,
+            # Transistors without a drawn shift keep the Mosfet default, 0.0.
+            np.array(
+                [[intra.get(t.name, 0.0) for intra in intra_maps] for t in net.transistors]
+            ),
+            constants,
+        )
+        for net, slot_device in zip(netlists, slot_devices)
+    ]
+
+
 def _solve_parameter_sets(
     task: SampleTask,
     parameter_sets: list[tuple[TechnologyParams, dict[str, float]]],
@@ -304,32 +383,44 @@ def _solve_parameter_sets(
     """Solve a block of pre-drawn parameter sets as two batched DC solves.
 
     The shared engine of :func:`simulate_batch` (stream-drawn parameters)
-    and :func:`simulate_batch_from_draws` (Sobol-drawn parameters): every
+    and :func:`simulate_batch_from_draws` (Sobol-drawn parameters).  Each
+    structure is flattened once, at the nominal technology; its columns
+    differ only in numbers — the supply and primary-input rails, the
+    free-node seeds (``vdd`` times the seed level) and the per-slot device
+    parameters (:func:`_device_grids`) — so each column is bitwise what
+    flattening that sample's shifted technology would solve.  Every
     per-column update of the batched solver is independent of the other
     columns, so the result is bitwise-identical however the parameter sets
     are chunked across workers.
     """
     loaded_circuit, unloaded_circuit, assignment, _ = _study_circuits(task)
+    technologies = [shifted for shifted, _ in parameter_sets]
+    vdd = np.array([shifted.vdd for shifted in technologies])
+    structures = [
+        flatten(circuit, task.technology, assignment)
+        for circuit in (loaded_circuit, unloaded_circuit)
+    ]
+    grids = _device_grids(
+        [flattened.netlist for flattened in structures],
+        task.technology,
+        technologies,
+        [intra for _, intra in parameter_sets],
+    )
 
-    loaded_flat, unloaded_flat = [], []
-    for shifted, intra in parameter_sets:
-        for circuit, flats in (
-            (loaded_circuit, loaded_flat),
-            (unloaded_circuit, unloaded_flat),
-        ):
-            flattened = flatten(circuit, shifted, assignment)
-            for transistor in flattened.netlist.transistors:
-                shift = intra.get(transistor.name)
-                if shift is not None:
-                    transistor.mosfet.vth_shift = shift
-            flats.append(flattened)
-
-    def solve_batch(flats, label):
+    solved = []
+    for flattened, grid, label in zip(
+        structures, grids, ("loaded-structure", "unloaded-structure")
+    ):
         solver = BatchedDcSolver(
-            [f.netlist for f in flats], task.temperature_k, task.solver_options
+            flattened.supply_views(vdd),
+            task.temperature_k,
+            task.solver_options,
+            devices=grid,
         )
         op = solver.solve(
-            initial_voltages=[f.initial_voltages() for f in flats]
+            initial_voltages={
+                node: vdd * level for node, level in flattened.seed_levels().items()
+            }
         )
         if not op.all_converged:
             bad = np.flatnonzero(~op.converged)
@@ -338,19 +429,19 @@ def _solve_parameter_sets(
                 f"{bad.size} of {op.batch} Monte-Carlo {label} solves did "
                 f"not converge (worst final voltage update "
                 f"{float(op.max_update[bad].max()):.3e} V)",
-                stacklevel=5,
             )
-        return solver.leakage_by_owner(op)[_TARGET_GATE], np.asarray(op.converged, bool)
+        solved.append(
+            (solver.leakage_by_owner(op)[_TARGET_GATE], np.asarray(op.converged, bool))
+        )
 
-    loaded_leakage, loaded_ok = solve_batch(loaded_flat, "loaded-structure")
-    unloaded_leakage, unloaded_ok = solve_batch(unloaded_flat, "unloaded-structure")
+    (loaded_leakage, loaded_ok), (unloaded_leakage, unloaded_ok) = solved
     return [
         MonteCarloSample(
             with_loading=loaded_leakage.at(index),
             without_loading=unloaded_leakage.at(index),
             converged=bool(loaded_ok[index] and unloaded_ok[index]),
         )
-        for index in range(len(loaded_flat))
+        for index in range(len(parameter_sets))
     ]
 
 
@@ -370,11 +461,12 @@ def simulate_batch(
 
     Stream ``i`` is consumed exactly like :func:`simulate_sample` would, so
     the parameter draws are bitwise-identical to the per-sample oracle's; the
-    flattened loaded structures of *all* samples then solve as one
+    loaded structures of *all* samples then solve as one
     :class:`~repro.spice.batched.BatchedDcSolver` batch (the unloaded twins
-    as a second one).  Because every per-column update of the batched solver
-    is independent of the other columns, the result is also bitwise-identical
-    however the streams are chunked — which is what lets
+    as a second one), each structure flattened once.  Because every
+    per-column update of the batched solver is independent of the other
+    columns, the result is also bitwise-identical however the streams are
+    chunked — which is what lets
     :class:`repro.engine.parallel.ParallelMonteCarlo` distribute contiguous
     batches across workers without changing the answer.
     """

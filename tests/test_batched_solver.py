@@ -10,7 +10,10 @@ are bitwise independent of how instances are grouped into batches.
 import numpy as np
 import pytest
 
-from repro.device.batched import PackedMosfets
+import repro.device.batched as device_batched
+import repro.variation.montecarlo as montecarlo
+from repro.circuit.flatten import flatten
+from repro.device.batched import DeviceColumns, PackedMosfets
 from repro.device.mosfet import Mosfet
 from repro.gates.characterize import CharacterizationOptions, GateCharacterizer
 from repro.gates.library import GateType, gate_spec
@@ -21,11 +24,18 @@ from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, SolverOptions
 from repro.utils.rng import spawn_streams
 from repro.utils.rootfind import chandrupatla
+from repro.variation.moments import _axes, _shift_parameters
 from repro.variation.montecarlo import (
+    _draw_sample_parameters,
+    _draws_sample_parameters,
+    _solve_parameter_sets,
+    _study_circuits,
     build_sample_task,
     simulate_batch,
     simulate_sample,
 )
+from repro.variation.qmc import draw_qmc_parameters
+from repro.variation.spec import VariationSpec
 
 #: Tolerances tight enough that solver-termination noise sits far below the
 #: leakage agreement bar used by the equivalence assertions.
@@ -76,6 +86,52 @@ class TestVectorizedDeviceModels:
         grid = [[Mosfet(bulk25.nmos), Mosfet(bulk25.pmos)]]
         with pytest.raises(ValueError, match="polarity"):
             PackedMosfets(grid, 300.0)
+
+    def test_device_columns_pack_like_the_mosfet_grid(self, bulk25, monkeypatch):
+        """The per-flavour form packs the very arrays of the Mosfet grid."""
+        flavours = [
+            [
+                bulk25.device(pol).replace(length_nm=bulk25.nmos.length_nm + 0.3 * b)
+                for b in range(5)
+            ]
+            for pol in (bulk25.nmos.polarity, bulk25.pmos.polarity)
+        ]
+        slot_device = np.array([0, 1, 1, 0])
+        vth_shift = np.random.default_rng(3).normal(0.0, 0.03, size=(4, 5))
+        grid = [
+            [
+                Mosfet(flavours[g][b], vth_shift=vth_shift[t, b])
+                for b in range(5)
+            ]
+            for t, g in enumerate(slot_device)
+        ]
+        columns = DeviceColumns(flavours, slot_device, vth_shift)
+        want = PackedMosfets(grid, 320.0)
+        got = PackedMosfets(columns, 320.0)
+        for name in device_batched._ARRAY_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # A grid sharing the flavours' constants cache packs no device again.
+        monkeypatch.setattr(device_batched, "_device_constants", None)
+        again = PackedMosfets(
+            DeviceColumns(flavours, slot_device[::-1], vth_shift[::-1], columns.constants),
+            320.0,
+        )
+        assert np.array_equal(again.vth_base, want.vth_base[::-1])
+
+    def test_device_columns_shape_checked(self, bulk25):
+        flavours = [[bulk25.nmos, bulk25.nmos]]
+        with pytest.raises(ValueError, match="one flavour per transistor"):
+            PackedMosfets(DeviceColumns(flavours, np.zeros(3, int), np.zeros((2, 2))), 300.0)
+        with pytest.raises(ValueError, match="one device per instance"):
+            PackedMosfets(DeviceColumns(flavours, np.zeros(2, int), np.zeros((2, 3))), 300.0)
+
+    def test_solver_rejects_devices_of_the_wrong_polarity(self, bulk25):
+        netlist = TransistorNetlist(vdd=bulk25.vdd)
+        netlist.add_node("in", fixed_voltage=0.0)
+        build_gate_transistors(netlist, bulk25, GateType.INV, "g", {"a": "in", "y": "out"})
+        swapped = DeviceColumns([[bulk25.pmos], [bulk25.nmos]], np.array([0, 1]), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="polarities"):
+            BatchedDcSolver([netlist], 300.0, devices=swapped)
 
 
 class TestChandrupatla:
@@ -340,5 +396,139 @@ class TestBatchedMonteCarloEquivalence:
             task, fresh[2:]
         )
         for a, b in zip(whole, chunked):
-            assert a.with_loading.total == b.with_loading.total
-            assert a.without_loading.total == b.without_loading.total
+            for component in ("subthreshold", "gate", "btbt", "total"):
+                assert a.with_loading.component(component) == (
+                    b.with_loading.component(component)
+                )
+                assert a.without_loading.component(component) == (
+                    b.without_loading.component(component)
+                )
+            assert a.converged == b.converged
+
+
+def _per_sample_flatten_solve(task, parameter_sets):
+    """Solve parameter sets the per-sample way, for the bitwise parity bar.
+
+    Every sample flattens both structures at its own shifted technology,
+    sets its intra-die Vth shifts on the flattened transistors, and each
+    structure's netlists then solve as one batch.  Returns per structure
+    (loaded, then unloaded) the studied gate's breakdown and converged flags.
+    """
+    loaded, unloaded, assignment, _ = _study_circuits(task)
+    solved = []
+    for circuit in (loaded, unloaded):
+        flats = []
+        for shifted, intra in parameter_sets:
+            flattened = flatten(circuit, shifted, assignment)
+            for transistor in flattened.netlist.transistors:
+                shift = intra.get(transistor.name)
+                if shift is not None:
+                    transistor.mosfet.vth_shift = shift
+            flats.append(flattened)
+        solver = BatchedDcSolver(
+            [f.netlist for f in flats], task.temperature_k, task.solver_options
+        )
+        op = solver.solve(initial_voltages=[f.initial_voltages() for f in flats])
+        solved.append((solver.leakage_by_owner(op)["g"], op.converged))
+    return solved
+
+
+class TestFlattenOnceParity:
+    """The flatten-once engine is bitwise the per-sample flatten build."""
+
+    @staticmethod
+    def _assert_bitwise(task, parameter_sets):
+        samples = _solve_parameter_sets(task, parameter_sets)
+        (loaded, loaded_ok), (unloaded, unloaded_ok) = _per_sample_flatten_solve(
+            task, parameter_sets
+        )
+        for component in ("subthreshold", "gate", "btbt", "total"):
+            for want, breakdown in ((loaded, "with_loading"), (unloaded, "without_loading")):
+                got = [getattr(s, breakdown).component(component) for s in samples]
+                assert np.array_equal(got, getattr(want, component)), (
+                    component,
+                    breakdown,
+                )
+        assert np.array_equal(
+            [s.converged for s in samples], loaded_ok & unloaded_ok
+        )
+
+    def test_mc_sampler(self, d25s):
+        task = build_sample_task(d25s, input_loads=3, output_loads=2)
+        names = _study_circuits(task)[3]
+        sets = [
+            _draw_sample_parameters(task, rng, names) for rng in spawn_streams(11, 12)
+        ]
+        self._assert_bitwise(task, sets)
+
+    def test_qmc_sampler(self, d25s):
+        task = build_sample_task(d25s, input_value=1, input_loads=2, output_loads=3)
+        names = _study_circuits(task)[3]
+        draws = draw_qmc_parameters(task.spec, 16, len(names), 4)
+        sets = [
+            _draws_sample_parameters(task, draws, index, names)
+            for index in range(draws.sample_count)
+        ]
+        self._assert_bitwise(task, sets)
+
+    def test_moments_columns(self, d25s):
+        task = build_sample_task(d25s, input_loads=2, output_loads=2)
+        axes = _axes(task, _study_circuits(task)[3])
+        sets = [_shift_parameters(task, [])] + [
+            _shift_parameters(task, [(axis, t)]) for axis in axes for t in (-2.0, 2.0)
+        ]
+        sets.append(_shift_parameters(task, [(axes[0], 2.0), (axes[-1], -2.0)]))
+        self._assert_bitwise(task, sets)
+
+    def test_vdd_clamp_column(self, d25s):
+        task = build_sample_task(
+            d25s, spec=VariationSpec(sigma_vdd_v=0.5 * d25s.vdd), input_loads=2, output_loads=2
+        )
+        names = _study_circuits(task)[3]
+        sets = [
+            _draw_sample_parameters(task, rng, names) for rng in spawn_streams(2, 12)
+        ]
+        clamped = [shifted.vdd == 0.5 * d25s.vdd for shifted, _ in sets]
+        assert any(clamped) and not all(clamped)
+        self._assert_bitwise(task, sets)
+
+
+def test_device_grids_refuse_a_device_beyond_its_width(d25s):
+    """Per-sample devices are derived only when a slot differs by width alone."""
+    task = build_sample_task(d25s, input_loads=1, output_loads=1)
+    loaded, _, assignment, _ = _study_circuits(task)
+    longer = d25s.replace(nmos=d25s.nmos.replace(length_nm=d25s.nmos.length_nm + 1.0))
+    netlist = flatten(loaded, longer, assignment).netlist
+    with pytest.raises(ValueError, match="beyond its width"):
+        montecarlo._device_grids([netlist], d25s, [d25s], [{}])
+
+
+def test_batch_flattens_each_structure_once(d25s, monkeypatch):
+    """64 samples: two flattens, one device-constant pack per (flavour, sample)."""
+    calls = {"flatten": 0, "constants": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "flatten", counted("flatten", montecarlo.flatten))
+    monkeypatch.setattr(
+        device_batched,
+        "_device_constants",
+        counted("constants", device_batched._device_constants),
+    )
+    task = build_sample_task(d25s)
+    samples = simulate_batch(task, spawn_streams(9, 64))
+    assert len(samples) == 64
+    assert calls["flatten"] <= 2
+
+    loaded, unloaded, assignment, _ = _study_circuits(task)
+    flavours = {
+        t.mosfet.device
+        for circuit in (loaded, unloaded)
+        for t in flatten(circuit, d25s, assignment).netlist.transistors
+    }
+    assert calls["constants"] <= len(flavours) * 64

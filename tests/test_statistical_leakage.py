@@ -26,7 +26,9 @@ from repro.variation.moments import (
 )
 from repro.variation.montecarlo import (
     MonteCarloConvergenceWarning,
+    build_sample_task,
     run_loaded_inverter_monte_carlo,
+    simulate_sample,
 )
 from repro.variation.qmc import (
     INTER_DIE_AXES,
@@ -352,6 +354,25 @@ class TestNonconvergedPolicies:
         assert result.sample_count == 4
         assert not result.converged_mask.any()
         assert result.metadata.get("dropped_nonconverged", 0) == 0
+
+    def test_warning_names_the_callers_line(self, d25s):
+        with pytest.warns(MonteCarloConvergenceWarning) as record:
+            run_loaded_inverter_monte_carlo(
+                d25s,
+                samples=4,
+                rng=0,
+                input_loads=2,
+                output_loads=2,
+                solver_options=NONCONVERGING,
+            )
+        task = build_sample_task(
+            d25s, input_loads=2, output_loads=2, solver_options=NONCONVERGING
+        )
+        with pytest.warns(MonteCarloConvergenceWarning) as scalar_record:
+            simulate_sample(task, ensure_rng(0))
+        for w in [*record, *scalar_record]:
+            if issubclass(w.category, MonteCarloConvergenceWarning):
+                assert w.filename == __file__
 
     def test_raise_policy(self, d25s):
         with pytest.raises(RuntimeError, match="did not converge"):
