@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import run_once
-from repro.engine.parallel import ParallelMonteCarlo
 from repro.resilience import (
     FaultInjector,
     FaultSpec,
@@ -73,11 +72,14 @@ def _samples_bitwise_equal(result_a, result_b) -> bool:
 
 
 def _timed_run(technology, resilience):
-    driver = ParallelMonteCarlo(
-        technology, max_workers=WORKERS, resilience=resilience
-    )
     start = time.perf_counter()
-    result = driver.run(SAMPLES, rng=SEED)
+    result = run_loaded_inverter_monte_carlo(
+        technology,
+        samples=SAMPLES,
+        rng=SEED,
+        max_workers=WORKERS,
+        resilience=resilience,
+    )
     return result, time.perf_counter() - start
 
 

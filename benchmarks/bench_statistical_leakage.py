@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.engine.parallel import ParallelMonteCarlo
 from repro.utils.rng import spawn_streams
 from repro.variation.moments import propagate_loaded_inverter_moments
 from repro.variation.montecarlo import run_loaded_inverter_monte_carlo
@@ -177,9 +176,9 @@ def test_statistical_leakage_variance_reduction(benchmark, d25s):
         serial = run_loaded_inverter_monte_carlo(
             d25s, spec=spec, samples=32, rng=SEED, sampler="qmc"
         )
-        pooled = ParallelMonteCarlo(
-            d25s, spec=spec, max_workers=2, sampler="qmc"
-        ).run(32, rng=SEED)
+        pooled = run_loaded_inverter_monte_carlo(
+            d25s, spec=spec, samples=32, rng=SEED, sampler="qmc", max_workers=2
+        )
         timings["bitwise"] = time.perf_counter() - start
         bitwise = _samples_bitwise_equal(serial, pooled)
 

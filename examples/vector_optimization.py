@@ -14,7 +14,9 @@ example walks the searchable path end to end:
    pass, so thousands of vectors cost fractions of a second;
 3. the same search is repeated with ``islands=4``: the result is bitwise
    identical to the serial run (SeedSequence-spawned streams + the
-   engine's column-independent totals), parallelism is purely throughput.
+   engine's column-independent totals), parallelism is purely throughput;
+4. ``minimize_leakage`` — the one search entry point — runs the same
+   greedy search from an estimator in one call.
 
 Run with ``python examples/vector_optimization.py``.
 """
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro import make_technology
 from repro.circuit.generators import iscas_like, nand_tree
-from repro.core import LoadingAwareEstimator, minimum_leakage_vector
+from repro.core import LoadingAwareEstimator
 from repro.engine import compile_circuit
 from repro.gates.characterize import GateLibrary
 from repro.optimize import (
@@ -99,13 +101,13 @@ def main() -> None:
     )
     print(f"islands=4 reproduces the serial search bitwise: {identical}")
 
-    # The one-liner most callers want: the dispatch on minimum_leakage_vector.
-    vector, total = minimum_leakage_vector(
-        estimator, circuit, strategy="greedy", rng=2005
-    )
+    # The one-liner most callers want: the search front door, which
+    # compiles through the default session and dispatches on strategy.
+    result = minimize_leakage(estimator, circuit, strategy="greedy", rng=2005)
+    vector = result.best_assignment
     ones = sum(vector.values())
     print(
-        f"minimum_leakage_vector(strategy='greedy'): {total * 1e9:.4f} nA "
+        f"minimize_leakage(strategy='greedy'): {result.best_total * 1e9:.4f} nA "
         f"({ones}/{len(vector)} inputs high)"
     )
 

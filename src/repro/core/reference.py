@@ -18,7 +18,9 @@ which is what makes full-suite, many-vector reference validation campaigns
 (:func:`run_reference_campaign`) feasible.  Chunks are memory-bounded and —
 because every per-column update of the batched solver is independent of its
 batch neighbours — the results are bitwise independent of how the vector set
-is chunked.  :meth:`ReferenceSimulator.estimate` — one
+is chunked, and of whether the chunks run in-process or across a supervised
+process pool (``max_workers``/``resilience``).
+:meth:`ReferenceSimulator.estimate` — one
 :class:`~repro.spice.solver.DcSolver` relaxation per input vector — is the
 oracle the tests and benchmarks compare it against, and the per-vector
 :class:`~repro.core.vectors.LeakageEstimator` the runtime experiment times.
@@ -27,6 +29,7 @@ oracle the tests and benchmarks compare it against, and the per-vector
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.circuit.flatten import flatten, flatten_batch
@@ -35,6 +38,8 @@ from repro.circuit.netlist import Circuit, Gate
 from repro.core.report import CircuitLeakageReport, GateLeakage
 from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
+from repro.resilience import ResilienceOptions
+from repro.resilience.executor import default_workers, supervised_map
 from repro.spice.analysis import leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.solver import DcSolver, SolverOptions
@@ -240,6 +245,36 @@ class ReferenceSimulator:
         return reports
 
 
+@dataclass(frozen=True)
+class _ReferenceChunkTask:
+    """Everything a reference-campaign chunk needs, minus its vectors.
+
+    Picklable (circuit, technology and solver options are plain
+    dataclasses) so a process pool can ship one copy per worker.  Its
+    fields enter the checkpoint fingerprint of a pooled campaign.
+    """
+
+    circuit: Circuit
+    technology: TechnologyParams
+    temperature_k: float | None
+    solver_options: SolverOptions | None
+
+
+def _reference_chunk_star(
+    args: tuple[_ReferenceChunkTask, list[dict[str, int]]]
+) -> list[CircuitLeakageReport]:
+    """Solve one chunk of reference vectors as one batch (pool-picklable).
+
+    The caller has already run the netlist pre-flight, so the chunk does
+    not lint again.
+    """
+    task, chunk = args
+    simulator = ReferenceSimulator(
+        task.technology, task.temperature_k, task.solver_options, lint="off"
+    )
+    return simulator._estimate_chunk(task.circuit, chunk)
+
+
 def run_reference_campaign(
     circuit: Circuit,
     technology: TechnologyParams,
@@ -250,6 +285,8 @@ def run_reference_campaign(
     solver_options: SolverOptions | None = None,
     chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
     lint: str = "raise",
+    max_workers: int | None = 1,
+    resilience: ResilienceOptions | None = None,
 ) -> VectorCampaignResult:
     """Run the transistor-level reference solve over a whole vector set.
 
@@ -258,34 +295,74 @@ def run_reference_campaign(
     full transistor-level solve instead of the LUT estimator, so the two
     campaign results compare directly (Fig. 12a).
 
+    The vector set splits into contiguous ``chunk_size`` batches; each
+    flattens the circuit once and solves as one
+    :class:`~repro.spice.batched.BatchedDcSolver` batch, and the reports are
+    reassembled in vector order.  Every per-column update of the batched
+    solver is independent of its batch neighbours, so the reports are
+    bitwise identical whatever the chunk boundaries or worker count.
+
     Parameters
     ----------
     vectors:
         Explicit vector set; when omitted, ``count`` random vectors are
         drawn using ``rng``.
     chunk_size:
-        Memory bound of :meth:`ReferenceSimulator.estimate_batch`; has no
-        effect on the results (chunking is bitwise-neutral).
+        Vectors per batch, the per-worker memory bound; has no effect on
+        the results.
     lint:
         Netlist pre-flight policy (``"raise"`` | ``"warn"`` | ``"off"``),
-        forwarded to :class:`ReferenceSimulator`.
-
-    For process-level parallelism over chunks see
-    :class:`repro.engine.parallel.ParallelReferenceCampaign`, which returns
-    identical reports for the same inputs.
+        applied once, in this process, before any chunk is solved.
+    max_workers:
+        Worker-process count; ``1`` (default) solves the chunks in-process
+        with no pool, ``None`` uses the CPU count (capped at 8).
+    resilience:
+        Optional :class:`~repro.resilience.ResilienceOptions`: retry
+        policy, per-chunk deadline, checkpoint/resume, fault injection.
+        Providing it forces the supervised pool even at one worker; pooled
+        runs without it still get the default supervision.  The retry
+        ledger lands in ``metadata["resilience"]``.
     """
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    workers = default_workers(max_workers)
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
     else:
         vectors = list(vectors)
     if not vectors:
-        # Same loud failure as ParallelReferenceCampaign.run: an empty
-        # campaign would only surface later as NaN means.
+        # An empty campaign would only surface later as NaN means.
         raise ValueError("no vectors to evaluate")
-    simulator = ReferenceSimulator(technology, temperature_k, solver_options, lint=lint)
-    reports = simulator.estimate_batch(circuit, vectors, chunk_size=chunk_size)
+    from repro.analysis import preflight_circuit
+
+    # A lint error raised inside a pool worker would come back as a broken
+    # pool, not as the finding list: reject the circuit here, once.
+    preflight_circuit(circuit, lint=lint)
+    task = _ReferenceChunkTask(circuit, technology, temperature_k, solver_options)
+    chunks = [
+        vectors[start : start + chunk_size]
+        for start in range(0, len(vectors), chunk_size)
+    ]
+    workers = min(workers, len(chunks))
+    metadata: dict[str, object] = {}
+    if workers == 1 and resilience is None:
+        chunk_reports = [_reference_chunk_star((task, chunk)) for chunk in chunks]
+    else:
+        chunk_reports, metadata = supervised_map(
+            _reference_chunk_star,
+            [(task, chunk) for chunk in chunks],
+            workers,
+            resilience,
+            lambda: {
+                "kind": "reference-campaign",
+                "task": task,
+                "vectors": vectors,
+                "chunk_size": chunk_size,
+            },
+        )
     return VectorCampaignResult(
         circuit_name=circuit.name,
         method=ReferenceSimulator.method_name,
-        reports=reports,
+        reports=[report for chunk in chunk_reports for report in chunk],
+        metadata=metadata,
     )

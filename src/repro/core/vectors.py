@@ -31,10 +31,10 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS, CircuitLeakageReport
 from repro.utils.rng import RngLike
 
-#: Width cap of the *scalar* exhaustive fallback of
-#: ``minimum_leakage_vector(strategy='exhaustive')``: one per-vector
-#: estimator walk per candidate, so far fewer inputs are feasible than
-#: through the batched oracle.
+#: Width cap of ``minimum_leakage_vector(exhaustive=True)`` with a
+#: per-vector estimator: one estimator walk per candidate (~1000x an engine
+#: row, so 2**16 scalar solves is already minutes), far fewer inputs than the
+#: batched engine's ``repro.optimize.MAX_EXHAUSTIVE_INPUTS``.
 _MAX_SCALAR_EXHAUSTIVE_INPUTS = 16
 
 
@@ -268,10 +268,6 @@ def minimum_leakage_vector(
     exhaustive: bool = False,
     count: int = 100,
     rng: RngLike = None,
-    strategy: str | None = None,
-    strategy_options=None,
-    islands: int = 1,
-    max_workers: int | None = None,
     lint: str = "raise",
     session=None,
 ) -> tuple[dict[str, int], float]:
@@ -279,120 +275,53 @@ def minimum_leakage_vector(
 
     As in :func:`run_vector_campaign`, library-backed estimators are
     evaluated by the batched engine and any other estimator per vector.
+    For heuristic searches beyond the exhaustive width cap (and full search
+    diagnostics: trajectories, evaluation counts, per-island outcomes) call
+    :func:`repro.optimize.minimize_leakage`.
 
     Parameters
     ----------
     exhaustive:
-        When True every possible input vector is evaluated (only feasible for
-        small circuits); otherwise ``vectors`` or ``count`` random vectors
-        are used.  Passing both ``exhaustive=True`` and an explicit
-        ``vectors`` set is ambiguous and raises ``ValueError``.
-    strategy:
-        Optional search-strategy dispatch into :mod:`repro.optimize`:
-        ``"exhaustive"`` evaluates every vector (the oracle), ``"greedy"``
-        runs the batched random-restart bit-flip hill climber and
-        ``"genetic"`` the island-model genetic search — the latter two make
-        the search tractable far beyond the ~20-input exhaustive wall and
-        require a library-backed estimator.  ``None`` (default) keeps the
-        classic behavior driven by ``vectors`` / ``exhaustive`` / ``count``.
-        Strategies are incompatible with an explicit ``vectors=`` set or
-        ``exhaustive=True`` (the strategy already decides the candidates).
-        With a non-library estimator ``strategy='exhaustive'`` streams every
-        vector through the per-vector estimator, behind a tighter
-        input-width guard than the batched oracle.
-    strategy_options / islands / max_workers / rng:
-        Forwarded to :func:`repro.optimize.minimize_leakage` when a
-        heuristic strategy is selected: per-strategy knobs
-        (:class:`~repro.optimize.GreedyOptions` /
-        :class:`~repro.optimize.GeneticOptions`), the island split, the
-        process-pool width (results are bitwise worker-count independent)
-        and the root seed.
+        When True every possible input vector is evaluated; otherwise
+        ``vectors`` or ``count`` random vectors are used.  Passing both
+        ``exhaustive=True`` and an explicit ``vectors`` set is ambiguous and
+        raises ``ValueError``.  Circuits wider than the width cap
+        (:data:`repro.optimize.MAX_EXHAUSTIVE_INPUTS`, 24 inputs, for
+        library-backed estimators; 16 for per-vector ones) are refused
+        before anything is evaluated.
     lint:
         Netlist pre-flight policy (``"raise"`` | ``"warn"`` | ``"off"``);
         explicit ``vectors=`` sets are additionally width-checked (NL007).
     session:
         Optional :class:`repro.service.EstimationSession` the batched
-        paths compile through (default: the process-default session); also
-        forwarded to :func:`repro.optimize.minimize_leakage` for the
-        heuristic strategies.
+        paths compile through (default: the process-default session).
 
     Returns the (assignment, total leakage in amperes) pair.  The paper notes
     that the winning vector can differ between loading-aware and no-loading
-    estimation, which is why the estimator is a parameter.  Callers that
-    want the full search diagnostics (trajectories, evaluation counts,
-    per-island outcomes) should call
-    :func:`repro.optimize.minimize_leakage` directly.
+    estimation, which is why the estimator is a parameter.
     """
     from repro.analysis import preflight_circuit, preflight_vectors
 
     preflight_circuit(circuit, lint=lint)
-    if strategy is not None:
-        from repro.optimize import (
-            MAX_EXHAUSTIVE_INPUTS,
-            SEARCH_STRATEGIES,
-            minimize_leakage,
-        )
-
-        if strategy not in SEARCH_STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {SEARCH_STRATEGIES}, got {strategy!r}"
-            )
-        if vectors is not None or exhaustive:
-            raise ValueError(
-                "strategy= already decides the candidate set; drop the "
-                "explicit vectors=/exhaustive= arguments"
-            )
-        # Uniform knob validation, shared by the batched and per-vector
-        # branches: the deterministic oracle takes no search knobs, and
-        # silently dropping them would mask a caller who meant a heuristic.
-        if strategy == "exhaustive":
-            if strategy_options is not None:
-                raise TypeError("strategy='exhaustive' takes no strategy_options")
-            if islands != 1 or max_workers is not None:
-                raise ValueError(
-                    "strategy='exhaustive' does not parallelize over islands "
-                    "or workers"
-                )
-        use_batched = _engine_backed(estimator)
-        if strategy in ("greedy", "genetic") and not use_batched:
-            raise ValueError(
-                f"strategy={strategy!r} requires a library-backed "
-                f"estimator (got {type(estimator).__name__})"
-            )
-        if use_batched:
-            result = minimize_leakage(
-                estimator,
-                circuit,
-                strategy=strategy,
-                rng=rng,
-                islands=islands,
-                max_workers=max_workers,
-                options=strategy_options,
-                session=session,
-            )
-            return result.best_assignment, result.best_total
-        # strategy='exhaustive' with a non-library estimator: stream every
-        # vector through the per-vector loop below.  The width guard is
-        # tighter than the batched oracle's MAX_EXHAUSTIVE_INPUTS — one
-        # estimator.estimate call per vector is ~1000x an engine row, so
-        # 2**16 scalar solves is already minutes.
-        n_inputs = len(circuit.primary_inputs)
-        scalar_cap = min(MAX_EXHAUSTIVE_INPUTS, _MAX_SCALAR_EXHAUSTIVE_INPUTS)
-        if n_inputs > scalar_cap:
-            raise ValueError(
-                f"exhaustive search over {n_inputs} inputs would stream "
-                f"2**{n_inputs} vectors through the per-vector scalar "
-                f"estimator (cap: {scalar_cap} inputs); use a "
-                "library-backed estimator — which raises the cap to "
-                f"{MAX_EXHAUSTIVE_INPUTS} and unlocks strategy='greedy'/"
-                "'genetic' for wider circuits"
-            )
-        exhaustive = True
     if exhaustive and vectors is not None:
         raise ValueError(
             "pass either exhaustive=True or an explicit vectors= set, not both"
         )
+    engine_backed = _engine_backed(estimator)
     if exhaustive:
+        from repro.optimize import MAX_EXHAUSTIVE_INPUTS
+
+        # Refuse before evaluating anything: the sweep is 2**n candidates.
+        cap = MAX_EXHAUSTIVE_INPUTS if engine_backed else _MAX_SCALAR_EXHAUSTIVE_INPUTS
+        n_inputs = len(circuit.primary_inputs)
+        if n_inputs > cap:
+            kind = "library-backed" if engine_backed else "per-vector"
+            raise ValueError(
+                f"exhaustive search over {n_inputs} inputs would evaluate "
+                f"2**{n_inputs} vectors (cap for a {kind} estimator: {cap} "
+                "inputs); repro.optimize.minimize_leakage searches wider "
+                "circuits with a library-backed estimator"
+            )
         # Streamed, not materialized: 2**n vectors must never live at once.
         candidates: Iterable[dict[str, int]] = exhaustive_vectors(circuit)
     elif vectors is not None:
@@ -405,7 +334,7 @@ def minimum_leakage_vector(
 
     best_vector: dict[str, int] | None = None
     best_total = float("inf")
-    if _engine_backed(estimator):
+    if engine_backed:
         from repro.service import default_session
 
         # Stream through the session: exhaustive sweeps never materialize

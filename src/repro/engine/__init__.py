@@ -9,12 +9,14 @@ idea one level up, to *campaign* workloads (many vectors, many samples):
   pin wiring), cached per (circuit structure, library);
 * :mod:`repro.engine.campaign` — evaluates an entire vector set in a few
   array passes: bit-matrix logic propagation, one-shot per-net loading
-  accumulation and batched LUT interpolation;
-* :mod:`repro.engine.parallel` — fans Monte-Carlo variation samples and
-  transistor-level reference campaigns across a process pool
-  (``SeedSequence.spawn``-derived per-sample streams, memory-bounded
-  same-topology vector chunks), bitwise-reproducible against the serial
-  drivers.
+  accumulation and batched LUT interpolation.
+
+The transistor-level campaigns (the Fig. 12a reference and the Fig. 10/11
+Monte Carlo) live beside their oracles:
+:func:`repro.core.reference.run_reference_campaign` and
+:func:`repro.variation.montecarlo.run_loaded_inverter_monte_carlo` take
+``max_workers``/``resilience`` and fan chunks across a supervised process
+pool, bitwise identical to their in-process runs.
 
 The scalar :class:`~repro.core.estimator.LoadingAwareEstimator` stays the
 reference oracle; regression tests pin the engine against it component by
@@ -37,7 +39,6 @@ from repro.engine.compile import (
     compile_circuit,
     default_compile_cache,
 )
-from repro.engine.parallel import ParallelMonteCarlo, ParallelReferenceCampaign
 
 __all__ = [
     "BatchedCampaignRun",
@@ -46,8 +47,6 @@ __all__ = [
     "CompiledCircuit",
     "GateTypeTable",
     "LazyReports",
-    "ParallelMonteCarlo",
-    "ParallelReferenceCampaign",
     "clear_compile_cache",
     "compile_cache_info",
     "compile_circuit",

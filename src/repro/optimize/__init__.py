@@ -14,9 +14,10 @@ vector, which can change once loading is considered):
   exhaustive oracle, all bitwise-reproducible from a seed whether islands
   run serially or across a process pool.
 
-``repro.core.vectors.minimum_leakage_vector(strategy=...)`` dispatches
-library-backed estimators here; :mod:`repro.experiments.ivc` and
-``benchmarks/bench_vector_search.py`` compare the strategies against
+:func:`minimize_leakage` is the one search entry point
+(``repro.core.vectors.minimum_leakage_vector`` keeps only the plain
+exhaustive / explicit-set / random-set scans); :mod:`repro.experiments.ivc`
+and ``benchmarks/bench_vector_search.py`` compare the strategies against
 best-of-random-N at equal evaluation budget.
 """
 

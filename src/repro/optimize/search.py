@@ -27,9 +27,10 @@ from stream ``i`` — never from how many other units exist or where they
 run.  Together with the engine's column-independent totals (batch
 composition and chunking never change a candidate's score bitwise), this
 makes every search bitwise identical whether its islands run serially
-in-process or fan out over the :mod:`repro.engine.parallel`-style process
-pool — worker count is purely a throughput knob, which the regression
-tests and the vector-search benchmark assert.
+in-process or fan out over the supervised process pool
+(:func:`repro.resilience.executor.supervised_map`, the pool the reference
+and Monte-Carlo campaigns use) — worker count is purely a throughput knob,
+which the regression tests and the vector-search benchmark assert.
 
 Budget accounting
 -----------------
@@ -49,14 +50,13 @@ import numpy as np
 
 from repro.engine.campaign import DEFAULT_CHUNK_SIZE
 from repro.engine.compile import CompiledCircuit
-from repro.engine.parallel import default_workers, supervised_map
 from repro.optimize.objective import LeakageObjective
 from repro.resilience import ResilienceOptions
+from repro.resilience.executor import default_workers, supervised_map
 from repro.utils.rng import RngLike, rng_state_token, spawn_streams
 from repro.utils.tables import format_table
 
-#: Strategies accepted by :func:`minimize_leakage` (and the
-#: ``strategy=`` dispatch of :func:`repro.core.vectors.minimum_leakage_vector`).
+#: Strategies accepted by :func:`minimize_leakage`.
 SEARCH_STRATEGIES = ("exhaustive", "greedy", "genetic")
 
 #: Widest input count :func:`exhaustive_minimize` accepts before refusing
@@ -402,7 +402,7 @@ def _run_islands(
 ) -> tuple[list[IslandDiagnostics], dict[str, object]]:
     """Run islands serially or over a supervised pool — identical results.
 
-    The pool path mirrors :class:`~repro.engine.parallel.ParallelMonteCarlo`:
+    The pool path is the one the Monte-Carlo and reference campaigns use:
     an order-preserving supervised map over self-contained tasks whose
     randomness was spawned up front, so completion order, worker count and
     crash-and-retry recovery can never leak into the outcome.  An island is
@@ -638,11 +638,11 @@ def minimize_leakage(
 ) -> OptimizationResult:
     """Search the minimum-leakage vector for a library-backed estimator.
 
-    The front door of the subsystem (and the target of
-    ``minimum_leakage_vector(strategy=...)``): compiles ``circuit`` against
-    ``estimator.library`` through an estimation session (cached — repeated
-    searches reuse the arrays), scores candidates with or without loading
-    to match the estimator, and dispatches on ``strategy``.
+    The one entry point of the minimum-leakage search: compiles
+    ``circuit`` against ``estimator.library`` through an estimation
+    session (cached — repeated searches reuse the arrays), scores
+    candidates with or without loading to match the estimator, and
+    dispatches on ``strategy``.
 
     Parameters
     ----------

@@ -8,7 +8,9 @@ retried, resumed or degraded finishes with exactly the bytes a clean
 serial run produces.
 
 * :class:`ResilientExecutor` — supervised process-pool map with retries,
-  backoff, deadlines and a :class:`RetryLedger` (``executor``);
+  backoff, deadlines and a :class:`RetryLedger`, configured by one
+  :class:`ResilienceOptions` bundle; ``executor.supervised_map`` is the
+  pooled path of every chunked driver (``executor``);
 * :class:`Checkpoint` — fingerprinted atomic checkpoint/resume
   (``checkpoint``);
 * :class:`FaultInjector` — deterministic seed-driven fault injection
@@ -20,9 +22,6 @@ keyword arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from pathlib import Path
 
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -38,6 +37,7 @@ from repro.resilience.errors import (
     StaleCheckpointError,
 )
 from repro.resilience.executor import (
+    ResilienceOptions,
     ResilientExecutor,
     RetryLedger,
     RetryPolicy,
@@ -65,56 +65,3 @@ __all__ = [
     "corrupt_file",
     "interruptible_pool",
 ]
-
-
-@dataclass(frozen=True)
-class ResilienceOptions:
-    """Resilience configuration a long-running driver accepts as one bundle.
-
-    Attributes
-    ----------
-    policy:
-        Retry/backoff/deadline policy of the supervised pool.
-    injector:
-        Optional deterministic fault injector (tests and the resilience
-        benchmark; production runs leave it ``None``).
-    checkpoint_path:
-        Where to persist completed chunks; ``None`` disables
-        checkpointing.
-    checkpoint_interval:
-        Publish the checkpoint every this many completed chunks.
-    resume:
-        Load ``checkpoint_path`` before running and skip its completed
-        chunks.  A fingerprint mismatch raises
-        :class:`StaleCheckpointError`; requires ``checkpoint_path``.
-    keep_checkpoint:
-        Leave the checkpoint file in place after a successful run
-        (default: remove it, since the run it guarded has finished).
-    """
-
-    policy: RetryPolicy | None = None
-    injector: FaultInjector | None = None
-    checkpoint_path: str | Path | None = None
-    checkpoint_interval: int = 1
-    resume: bool = False
-    keep_checkpoint: bool = False
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
-        if self.resume and self.checkpoint_path is None:
-            raise ValueError("resume=True requires a checkpoint_path")
-
-    def executor(self, max_workers: int) -> ResilientExecutor:
-        """Return the supervised executor this bundle configures."""
-        return ResilientExecutor(
-            max_workers, policy=self.policy, injector=self.injector
-        )
-
-    def checkpoint(self, fingerprint: str) -> Checkpoint | None:
-        """Return the checkpoint for ``fingerprint``, or ``None``."""
-        if self.checkpoint_path is None:
-            return None
-        return Checkpoint(
-            self.checkpoint_path, fingerprint, interval=self.checkpoint_interval
-        )

@@ -30,15 +30,17 @@ contract).  The resilience tests assert this under every injected fault.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.checkpoint import Checkpoint, checkpoint_fingerprint
 from repro.resilience.errors import ChunkRetryError
 from repro.resilience.faults import FaultInjector
 from repro.utils.rng import spawn_streams
@@ -391,3 +393,110 @@ def _condemn(pool: ProcessPoolExecutor) -> None:
             # Already exited (or an interpreter without the internal
             # table); the shutdown above remains the portable cleanup.
             continue
+
+
+@dataclass(frozen=True)
+class ResilienceOptions:
+    """Resilience configuration a long-running driver accepts as one bundle.
+
+    Attributes
+    ----------
+    policy:
+        Retry/backoff/deadline policy of the supervised pool.
+    injector:
+        Optional deterministic fault injector (tests and the resilience
+        benchmark; production runs leave it ``None``).
+    checkpoint_path:
+        Where to persist completed chunks; ``None`` disables
+        checkpointing.
+    checkpoint_interval:
+        Publish the checkpoint every this many completed chunks.
+    resume:
+        Load ``checkpoint_path`` before running and skip its completed
+        chunks.  A fingerprint mismatch raises
+        :class:`StaleCheckpointError`; requires ``checkpoint_path``.
+    keep_checkpoint:
+        Leave the checkpoint file in place after a successful run
+        (default: remove it, since the run it guarded has finished).
+    """
+
+    policy: RetryPolicy | None = None
+    injector: FaultInjector | None = None
+    checkpoint_path: str | Path | None = None
+    checkpoint_interval: int = 1
+    resume: bool = False
+    keep_checkpoint: bool = False
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be at least 1")
+        if self.resume and self.checkpoint_path is None:
+            raise ValueError("resume=True requires a checkpoint_path")
+
+    def executor(self, max_workers: int) -> ResilientExecutor:
+        """Return the supervised executor this bundle configures."""
+        return ResilientExecutor(
+            max_workers, policy=self.policy, injector=self.injector
+        )
+
+    def checkpoint(self, fingerprint: str) -> Checkpoint | None:
+        """Return the checkpoint for ``fingerprint``, or ``None``."""
+        if self.checkpoint_path is None:
+            return None
+        return Checkpoint(
+            self.checkpoint_path, fingerprint, interval=self.checkpoint_interval
+        )
+
+
+def default_workers(max_workers: int | None) -> int:
+    """Resolve a driver's worker count: ``None`` is the CPU count, capped at 8."""
+    if max_workers is None:
+        max_workers = min(os.cpu_count() or 1, 8)
+    if max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    return max_workers
+
+
+def supervised_map(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    workers: int,
+    resilience: ResilienceOptions | None,
+    fingerprint_payload: Callable[[], dict[str, Any]],
+) -> tuple[list[Any], dict[str, object]]:
+    """Run a chunked pool map under resilience supervision.
+
+    The pooled path of every chunked driver (the reference campaign, the
+    Monte-Carlo study and the island fan-out of
+    :mod:`repro.optimize.search`): builds the supervised executor from
+    ``resilience`` (defaults apply when the caller passed ``None``), wires
+    up the fingerprinted checkpoint and the resume set when configured, and
+    returns ``(results, metadata)`` with the retry ledger under
+    ``metadata["resilience"]``.
+
+    ``fingerprint_payload`` is only called when a checkpoint is configured;
+    it must return everything that can change a chunk result or the chunk
+    layout (task definition, options, RNG state token, chunk count).
+    """
+    opts = resilience or ResilienceOptions()
+    checkpoint = None
+    completed = None
+    if opts.checkpoint_path is not None:
+        payload = fingerprint_payload()
+        if payload.get("rng", "absent") is None:
+            raise ValueError(
+                "checkpointing requires a reproducible rng (an explicit seed "
+                "or Generator); rng=None runs cannot be resumed bitwise"
+            )
+        checkpoint = opts.checkpoint(checkpoint_fingerprint(payload))
+        if opts.resume:
+            completed = checkpoint.load()
+    results, ledger = opts.executor(workers).map(
+        fn, items, checkpoint=checkpoint, completed=completed
+    )
+    resilience_meta = ledger.as_dict()
+    if checkpoint is not None:
+        resilience_meta["checkpoint_publishes"] = checkpoint.publishes
+        if not opts.keep_checkpoint:
+            checkpoint.complete()
+    return results, {"resilience": resilience_meta}

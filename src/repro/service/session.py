@@ -26,8 +26,9 @@ exact object a cold compile would rebuild.  ``tests/test_service.py``
 asserts both under real thread concurrency.
 
 The classic entry points (:func:`repro.core.vectors.run_vector_campaign`,
-:func:`repro.core.vectors.minimum_leakage_vector`,
-:func:`repro.optimize.minimize_leakage`, the experiment drivers) are thin
+:func:`repro.core.vectors.minimum_leakage_vector` for plain scans,
+:func:`repro.optimize.minimize_leakage` for the vector search, the
+experiment drivers) are thin
 adapters over a session: they accept ``session=`` and otherwise route
 through the process-default session of :func:`default_session`, whose
 compile cache is the same object legacy direct

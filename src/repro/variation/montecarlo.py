@@ -34,7 +34,10 @@ parameters from per-sample ``SeedSequence.spawn`` streams; ``"qmc"`` draws
 the whole parameter block from a scrambled Sobol sequence
 (:mod:`repro.variation.qmc`) with the same marginal distributions — the
 variance-reduced path that reaches a given Fig. 10/11 accuracy at a
-fraction of the sample budget.
+fraction of the sample budget.  With ``max_workers`` > 1 (or a
+``resilience`` bundle) :func:`run_loaded_inverter_monte_carlo` fans
+contiguous sample chunks across a supervised process pool, bitwise
+identical to the in-process run.
 
 Sample convergence is governed by ``on_nonconverged``: ``"warn"`` (default)
 records the sample and emits a :class:`MonteCarloConvergenceWarning`,
@@ -54,7 +57,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -63,11 +66,13 @@ from repro.circuit.flatten import flatten
 from repro.circuit.generators import loaded_inverter_cluster
 from repro.device.batched import DeviceColumns
 from repro.device.params import DeviceParams, TechnologyParams
+from repro.resilience import ResilienceOptions
+from repro.resilience.executor import default_workers, supervised_map
 from repro.spice.analysis import ComponentBreakdown, leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.netlist import TransistorNetlist
 from repro.spice.solver import DcSolver, SolverOptions
-from repro.utils.rng import RngLike, spawn_streams
+from repro.utils.rng import RngLike, rng_state_token, spawn_streams
 from repro.variation.qmc import ParameterDraws, draw_qmc_parameters
 from repro.variation.spec import (
     VariationSpec,
@@ -227,8 +232,9 @@ class SampleTask:
     """Everything one Monte-Carlo sample needs, minus its random stream.
 
     The task is picklable (technology, spec and solver options are plain
-    dataclasses), which is what lets :class:`repro.engine.parallel.ParallelMonteCarlo`
-    ship it to process-pool workers unchanged.
+    dataclasses), which is what lets the pooled path of
+    :func:`run_loaded_inverter_monte_carlo` ship it to process-pool workers
+    unchanged.  Its fields enter the checkpoint fingerprint of a pooled run.
     """
 
     technology: TechnologyParams
@@ -466,9 +472,9 @@ def simulate_batch(
     as a second one), each structure flattened once.  Because every
     per-column update of the batched solver is independent of the other
     columns, the result is also bitwise-identical however the streams are
-    chunked — which is what lets
-    :class:`repro.engine.parallel.ParallelMonteCarlo` distribute contiguous
-    batches across workers without changing the answer.
+    chunked — which is what lets :func:`run_loaded_inverter_monte_carlo`
+    distribute contiguous batches across workers without changing the
+    answer.
     """
     names = _loaded_flat_names(loaded_inverter_cluster(task.input_loads, task.output_loads))
     parameter_sets = [
@@ -543,16 +549,6 @@ def build_sample_task(
     )
 
 
-def _result_metadata(
-    sampler: str, task: SampleTask, requested: int, recorded: int
-) -> dict[str, object]:
-    """Return the provenance metadata of one run (sampler, dropped count)."""
-    metadata: dict[str, object] = {"sampler": sampler}
-    if task.on_nonconverged == "drop":
-        metadata["dropped_nonconverged"] = requested - recorded
-    return metadata
-
-
 def run_loaded_inverter_monte_carlo(
     technology: TechnologyParams,
     spec: VariationSpec | None = None,
@@ -565,6 +561,8 @@ def run_loaded_inverter_monte_carlo(
     solver_options: SolverOptions | None = None,
     sampler: str = "mc",
     on_nonconverged: str = "warn",
+    max_workers: int | None = 1,
+    resilience: ResilienceOptions | None = None,
 ) -> MonteCarloResult:
     """Run the Fig. 10 Monte-Carlo study and return the paired samples.
 
@@ -594,13 +592,27 @@ def run_loaded_inverter_monte_carlo(
         ``"warn"`` (default) records non-converged samples and warns;
         ``"raise"`` errors out; ``"drop"`` excludes them (count reported in
         ``metadata["dropped_nonconverged"]``).
+    max_workers:
+        Worker-process count; ``1`` (default) solves every sample as one
+        in-process batch, ``None`` uses the CPU count (capped at 8; beyond
+        that pool startup dominates for typical sample counts).
+    resilience:
+        Optional :class:`~repro.resilience.ResilienceOptions`: retry
+        policy, per-chunk deadline, checkpoint/resume, fault injection.
+        Providing it forces the supervised pool even at one worker; pooled
+        runs without it still get the default supervision (worker-death
+        recovery with the stock retry policy).  The retry ledger lands in
+        ``metadata["resilience"]``.
 
     With ``sampler="mc"`` each sample draws from its own
     ``SeedSequence.spawn``-derived stream (sample ``i`` uses stream ``i``);
     with ``sampler="qmc"`` the whole parameter block is drawn up front and
-    sliced.  Either way the result is bitwise-identical to
-    :class:`repro.engine.parallel.ParallelMonteCarlo` for the same seed
-    and sampler.
+    sliced.  Pooled runs split the samples into one contiguous chunk per
+    worker; chunk boundaries choose *who* solves a sample, never *which*
+    parameters it gets, and a retried chunk re-runs from its original
+    streams or parameter slice, which live untouched in this process.  So
+    the samples are bitwise identical for a given seed and sampler whatever
+    the worker count, and still under injected faults.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -616,18 +628,53 @@ def run_loaded_inverter_monte_carlo(
         solver_options=solver_options,
         on_nonconverged=on_nonconverged,
     )
+    workers = min(default_workers(max_workers), samples)
+    rng_token = (
+        rng_state_token(rng)
+        if resilience is not None and resilience.checkpoint_path is not None
+        else "absent"
+    )
+    # One contiguous chunk per worker (a single chunk in-process).
+    chunk = -(-samples // workers)
+    starts = range(0, samples, chunk)
+    fn: Callable[[Any], Any]
     if sampler == "qmc":
         draws = draw_qmc_parameters(
             task.spec, samples, loaded_transistor_count(input_loads, output_loads), rng
         )
-        collected = simulate_batch_from_draws(task, draws)
+        fn = _simulate_draws_batch_star
+        items = [(task, draws.slice(start, start + chunk)) for start in starts]
     else:
-        collected = simulate_batch(task, spawn_streams(rng, samples))
+        streams = spawn_streams(rng, samples)
+        fn = _simulate_batch_star
+        items = [(task, streams[start : start + chunk]) for start in starts]
+    metadata: dict[str, object] = {"sampler": sampler}
+    if workers == 1 and resilience is None:
+        batches = [fn(item) for item in items]
+    else:
+        batches, pool_metadata = supervised_map(
+            fn,
+            items,
+            workers,
+            resilience,
+            lambda: {
+                "kind": "monte-carlo",
+                "sampler": sampler,
+                "task": task,
+                "samples": samples,
+                "chunks": len(items),
+                "rng": rng_token,
+            },
+        )
+        metadata.update(pool_metadata)
+    collected = [sample for batch in batches for sample in batch]
+    if task.on_nonconverged == "drop":
+        metadata["dropped_nonconverged"] = samples - len(collected)
     return MonteCarloResult(
         spec=task.spec,
         input_value=input_value,
         input_loads=input_loads,
         output_loads=output_loads,
         samples=collected,
-        metadata=_result_metadata(sampler, task, samples, len(collected)),
+        metadata=metadata,
     )

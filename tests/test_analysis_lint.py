@@ -426,6 +426,28 @@ class TestEntryPointWiring:
         with pytest.raises(NetlistLintError, match="NL001"):
             simulator.estimate(_bad_circuit(), {"a": 0})
 
+    def test_pooled_reference_campaign_lints_before_the_pool(
+        self, bulk50, monkeypatch
+    ):
+        # A NetlistLintError raised inside a worker does not survive the
+        # trip back (it breaks the pool on every retry), so the pre-flight
+        # must reject the circuit in the caller, before any pool starts.
+        from repro.core.reference import run_reference_campaign
+        from repro.resilience import ResilientExecutor
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started before the pre-flight")
+
+        monkeypatch.setattr(ResilientExecutor, "map", no_pool)
+        with pytest.raises(NetlistLintError, match="NL001"):
+            run_reference_campaign(
+                _bad_circuit(),
+                bulk50,
+                vectors=[{"a": 0}, {"a": 1}],
+                chunk_size=1,
+                max_workers=2,
+            )
+
     def test_vector_campaign_rejects_mismatched_vectors(self, library25):
         from repro.core import LoadingAwareEstimator
         from repro.core.vectors import run_vector_campaign

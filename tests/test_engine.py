@@ -3,7 +3,7 @@
 The contract of :mod:`repro.engine` is equivalence: the scalar
 :class:`LoadingAwareEstimator` is the oracle, and the batched engine must
 reproduce its totals (and per-gate breakdowns) to rounding error while the
-parallel Monte-Carlo driver must reproduce the serial sample stream
+pooled Monte-Carlo run must reproduce the in-process sample stream
 bitwise.
 """
 
@@ -22,7 +22,6 @@ from repro.core.estimator import LoadingAwareEstimator
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import minimum_leakage_vector, run_vector_campaign
 from repro.engine import (
-    ParallelMonteCarlo,
     clear_compile_cache,
     compile_circuit,
     run_compiled,
@@ -208,10 +207,9 @@ class TestParallelMonteCarlo:
         serial = run_loaded_inverter_monte_carlo(
             d25s, samples=4, rng=17, input_loads=2, output_loads=2
         )
-        driver = ParallelMonteCarlo(
-            d25s, input_loads=2, output_loads=2, max_workers=2
+        parallel = run_loaded_inverter_monte_carlo(
+            d25s, samples=4, rng=17, input_loads=2, output_loads=2, max_workers=2
         )
-        parallel = driver.run(4, rng=17)
         assert parallel.sample_count == serial.sample_count
         for component in REPORT_COMPONENTS:
             for loaded in (True, False):
@@ -221,16 +219,16 @@ class TestParallelMonteCarlo:
                 )
 
     def test_worker_count_does_not_change_samples(self, d25s):
-        one = ParallelMonteCarlo(
-            d25s, input_loads=1, output_loads=1, max_workers=1
-        ).run(3, rng=23)
-        three = ParallelMonteCarlo(
-            d25s, input_loads=1, output_loads=1, max_workers=3
-        ).run(3, rng=23)
+        one = run_loaded_inverter_monte_carlo(
+            d25s, samples=3, rng=23, input_loads=1, output_loads=1, max_workers=1
+        )
+        three = run_loaded_inverter_monte_carlo(
+            d25s, samples=3, rng=23, input_loads=1, output_loads=1, max_workers=3
+        )
         assert one.values("total").tolist() == three.values("total").tolist()
 
     def test_parameter_validation(self, d25s):
         with pytest.raises(ValueError):
-            ParallelMonteCarlo(d25s, max_workers=0)
+            run_loaded_inverter_monte_carlo(d25s, max_workers=0)
         with pytest.raises(ValueError):
-            ParallelMonteCarlo(d25s).run(0)
+            run_loaded_inverter_monte_carlo(d25s, samples=0, max_workers=None)

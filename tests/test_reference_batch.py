@@ -5,7 +5,7 @@ The contract mirrors the batched campaign engine's: the scalar
 :meth:`ReferenceSimulator.estimate_batch` must reproduce its per-gate
 breakdowns and totals to solver-tolerance error while being *bitwise*
 independent of how a vector set is grouped into batches (chunk sizes,
-batch neighbours, parallel workers).
+batch neighbours, pool workers).
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.circuit.generators import (
 from repro.circuit.logic import random_vectors
 from repro.core.reference import ReferenceSimulator, run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
-from repro.engine import ParallelReferenceCampaign
 from repro.spice.solver import SolverOptions
 
 #: Solver-tolerance-level agreement between the scalar oracle and the batched path
@@ -185,20 +184,23 @@ class TestReferenceCampaign:
         serial = run_reference_campaign(
             circuit, d25s, vectors=vectors, chunk_size=2
         )
-        parallel = ParallelReferenceCampaign(
-            d25s, max_workers=2, chunk_size=2
-        ).run(circuit, vectors)
+        parallel = run_reference_campaign(
+            circuit, d25s, vectors=vectors, chunk_size=2, max_workers=2
+        )
         assert parallel.method == "reference"
+        assert len(parallel.reports) == len(serial.reports)
         for a, b in zip(serial.reports, parallel.reports):
             assert _bitwise_equal(a, b)
 
     def test_parallel_driver_validation(self, d25s):
+        circuit = nand_tree(1)
+        vectors = [{"in0": 0, "in1": 1}]
         with pytest.raises(ValueError, match="chunk_size"):
-            ParallelReferenceCampaign(d25s, chunk_size=0)
+            run_reference_campaign(circuit, d25s, vectors=vectors, chunk_size=0)
         with pytest.raises(ValueError, match="max_workers"):
-            ParallelReferenceCampaign(d25s, max_workers=0)
+            run_reference_campaign(circuit, d25s, vectors=vectors, max_workers=0)
         with pytest.raises(ValueError, match="no vectors"):
-            ParallelReferenceCampaign(d25s, max_workers=1).run(nand_tree(1), [])
+            run_reference_campaign(circuit, d25s, vectors=[], max_workers=2)
 
 
 class TestMissingOwnerDiagnostic:

@@ -17,7 +17,6 @@ import pytest
 from repro.circuit.generators import nand_tree
 from repro.circuit.logic import random_vectors
 from repro.core.reference import run_reference_campaign
-from repro.engine.parallel import ParallelMonteCarlo, ParallelReferenceCampaign
 from repro.optimize.search import GeneticOptions, genetic_minimize
 from repro.resilience import (
     Checkpoint,
@@ -316,14 +315,15 @@ class TestMonteCarloBitwiseRecovery:
         )
 
     def _faulted_run(self, bulk25, specs, policy=FAST_RETRY):
-        driver = ParallelMonteCarlo(
+        return run_loaded_inverter_monte_carlo(
             bulk25,
+            samples=self.SAMPLES,
+            rng=self.SEED,
             max_workers=2,
             resilience=ResilienceOptions(
                 policy=policy, injector=FaultInjector(seed=5, specs=specs)
             ),
         )
-        return driver.run(self.SAMPLES, rng=self.SEED)
 
     def test_kill_worker_mid_monte_carlo_recovers_bitwise(self, bulk25, serial_mc):
         result = self._faulted_run(
@@ -360,8 +360,12 @@ class TestMonteCarloBitwiseRecovery:
         options = ResilienceOptions(
             policy=FAST_RETRY, checkpoint_path=path, keep_checkpoint=True
         )
-        first = ParallelMonteCarlo(bulk25, max_workers=2, resilience=options).run(
-            self.SAMPLES, rng=self.SEED
+        first = run_loaded_inverter_monte_carlo(
+            bulk25,
+            samples=self.SAMPLES,
+            rng=self.SEED,
+            max_workers=2,
+            resilience=options,
         )
         assert _mc_samples_bitwise_equal(first, serial_mc)
         assert path.exists()
@@ -370,9 +374,13 @@ class TestMonteCarloBitwiseRecovery:
         resumed_options = ResilienceOptions(
             policy=FAST_RETRY, checkpoint_path=path, resume=True
         )
-        resumed = ParallelMonteCarlo(
-            bulk25, max_workers=2, resilience=resumed_options
-        ).run(self.SAMPLES, rng=self.SEED)
+        resumed = run_loaded_inverter_monte_carlo(
+            bulk25,
+            samples=self.SAMPLES,
+            rng=self.SEED,
+            max_workers=2,
+            resilience=resumed_options,
+        )
         assert _mc_samples_bitwise_equal(resumed, serial_mc)
         ledger = resumed.metadata["resilience"]
         assert ledger["resumed_chunks"] == ledger["chunks"]
@@ -382,21 +390,34 @@ class TestMonteCarloBitwiseRecovery:
     def test_stale_checkpoint_is_refused_not_resumed(self, bulk25, tmp_path):
         path = tmp_path / "mc.ckpt"
         options = ResilienceOptions(checkpoint_path=path, keep_checkpoint=True)
-        ParallelMonteCarlo(bulk25, max_workers=2, resilience=options).run(
-            self.SAMPLES, rng=self.SEED
+        run_loaded_inverter_monte_carlo(
+            bulk25,
+            samples=self.SAMPLES,
+            rng=self.SEED,
+            max_workers=2,
+            resilience=options,
         )
         resumed_options = ResilienceOptions(checkpoint_path=path, resume=True)
         with pytest.raises(StaleCheckpointError):
             # Different sample count → different work definition.
-            ParallelMonteCarlo(
-                bulk25, max_workers=2, resilience=resumed_options
-            ).run(self.SAMPLES + 2, rng=self.SEED)
+            run_loaded_inverter_monte_carlo(
+                bulk25,
+                samples=self.SAMPLES + 2,
+                rng=self.SEED,
+                max_workers=2,
+                resilience=resumed_options,
+            )
 
     def test_checkpoint_requires_reproducible_rng(self, bulk25, tmp_path):
         options = ResilienceOptions(checkpoint_path=tmp_path / "mc.ckpt")
-        driver = ParallelMonteCarlo(bulk25, max_workers=2, resilience=options)
         with pytest.raises(ValueError, match="reproducible rng"):
-            driver.run(self.SAMPLES, rng=None)
+            run_loaded_inverter_monte_carlo(
+                bulk25,
+                samples=self.SAMPLES,
+                rng=None,
+                max_workers=2,
+                resilience=options,
+            )
 
 
 class TestReferenceCampaignBitwiseRecovery:
@@ -409,8 +430,10 @@ class TestReferenceCampaignBitwiseRecovery:
 
     def test_kill_worker_mid_campaign_recovers_bitwise(self, d25s, campaign_inputs):
         circuit, vectors, serial = campaign_inputs
-        driver = ParallelReferenceCampaign(
+        result = run_reference_campaign(
+            circuit,
             d25s,
+            vectors=vectors,
             max_workers=2,
             chunk_size=2,
             resilience=ResilienceOptions(
@@ -421,7 +444,6 @@ class TestReferenceCampaignBitwiseRecovery:
                 ),
             ),
         )
-        result = driver.run(circuit, vectors)
         for a, b in zip(result.reports, serial.reports):
             assert _reports_bitwise_equal(a, b)
         ledger = result.metadata["resilience"]
@@ -435,9 +457,14 @@ class TestReferenceCampaignBitwiseRecovery:
         path = tmp_path / "campaign.ckpt"
 
         def run(options):
-            return ParallelReferenceCampaign(
-                d25s, max_workers=2, chunk_size=2, resilience=options
-            ).run(circuit, vectors)
+            return run_reference_campaign(
+                circuit,
+                d25s,
+                vectors=vectors,
+                max_workers=2,
+                chunk_size=2,
+                resilience=options,
+            )
 
         run(ResilienceOptions(checkpoint_path=path, keep_checkpoint=True))
         corrupt_file(path, "garble")

@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine.parallel import ParallelMonteCarlo
 from repro.experiments.fig10 import run_fig10_variation_histograms
 from repro.experiments.fig11 import run_fig11_variation_statistics
 from repro.service import EstimationSession
@@ -332,9 +331,15 @@ class TestQmcMonteCarlo:
         serial = run_loaded_inverter_monte_carlo(
             d25s, samples=16, rng=5, input_loads=2, output_loads=2, sampler="qmc"
         )
-        pooled = ParallelMonteCarlo(
-            d25s, input_loads=2, output_loads=2, max_workers=3, sampler="qmc"
-        ).run(16, rng=5)
+        pooled = run_loaded_inverter_monte_carlo(
+            d25s,
+            samples=16,
+            rng=5,
+            input_loads=2,
+            output_loads=2,
+            sampler="qmc",
+            max_workers=3,
+        )
         assert pooled.metadata["sampler"] == "qmc"
         assert _samples_bitwise_equal(serial, pooled)
 

@@ -10,9 +10,10 @@ Four layers are covered:
   small-input circuit shape (the acceptance bar: <= 12 primary inputs must
   return the true minimum), bitwise island/worker-count reproducibility,
   budget caps and convergence diagnostics;
-* dispatch layer — ``minimum_leakage_vector(strategy=...)`` routing and its
-  argument validation, plus the scalar fallback of the exhaustive oracle
-  for non-library estimators.
+* front doors — :func:`minimize_leakage` against the subsystem and its
+  argument validation, ``minimum_leakage_vector(exhaustive=True)`` against
+  the exhaustive oracle (including the per-vector fallback for non-library
+  estimators) and its width caps.
 """
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestBudgetsAndDiagnostics:
 
 
 # --------------------------------------------------------------------------- #
-# dispatch layer: minimum_leakage_vector(strategy=...)
+# front doors: minimize_leakage and minimum_leakage_vector(exhaustive=True)
 # --------------------------------------------------------------------------- #
 
 
@@ -279,84 +280,72 @@ class _ScalarOnlyEstimator:
 
 class TestStrategyDispatch:
     def test_greedy_strategy_matches_subsystem(self, estimator, small_circuit):
-        vector, total = minimum_leakage_vector(
-            estimator, small_circuit, strategy="greedy", rng=11
-        )
+        from repro.service import default_session
+
         direct = minimize_leakage(
             estimator, small_circuit, strategy="greedy", rng=11
         )
-        assert total == direct.best_total
-        assert vector == direct.best_assignment
+        compiled = default_session().compiled(small_circuit, estimator.library)
+        subsystem = greedy_minimize(
+            compiled, include_loading=estimator.include_loading, rng=11
+        )
+        assert direct.best_total == subsystem.best_total
+        assert direct.best_assignment == subsystem.best_assignment
 
     def test_exhaustive_strategy_equals_exhaustive_flag(
         self, estimator, small_circuit
     ):
-        by_strategy = minimum_leakage_vector(
-            estimator, small_circuit, strategy="exhaustive"
-        )
+        result = minimize_leakage(estimator, small_circuit, strategy="exhaustive")
         by_flag = minimum_leakage_vector(estimator, small_circuit, exhaustive=True)
-        assert by_strategy == by_flag
+        assert (result.best_assignment, result.best_total) == by_flag
 
     def test_exhaustive_strategy_scalar_fallback(self, estimator):
         circuit = nand_tree(2)
         stub = _ScalarOnlyEstimator(estimator)
-        vector, total = minimum_leakage_vector(
-            stub, circuit, strategy="exhaustive"
-        )
+        vector, total = minimum_leakage_vector(stub, circuit, exhaustive=True)
         expected = minimum_leakage_vector(estimator, circuit, exhaustive=True)
         assert (vector, total) == expected
 
     def test_exhaustive_strategy_honors_scalar_engine(
         self, estimator, small_circuit
     ):
-        """A non-library estimator + strategy='exhaustive' streams the
-        per-vector oracle and lands on the batched oracle's answer."""
+        """A non-library estimator + exhaustive=True streams the per-vector
+        oracle and lands on the batched oracle's answer."""
         by_scalar = minimum_leakage_vector(
-            _ScalarOnlyEstimator(estimator), small_circuit, strategy="exhaustive"
+            _ScalarOnlyEstimator(estimator), small_circuit, exhaustive=True
         )
-        by_batched = minimum_leakage_vector(
+        by_batched = minimize_leakage(
             estimator, small_circuit, strategy="exhaustive"
         )
-        assert by_scalar[0] == by_batched[0]
-        assert by_scalar[1] == pytest.approx(by_batched[1], rel=1e-11)
+        assert by_scalar[0] == by_batched.best_assignment
+        assert by_scalar[1] == pytest.approx(by_batched.best_total, rel=1e-11)
 
-    def test_strategy_engine_validation(self, estimator, library25):
+    def test_strategy_engine_validation(self, estimator):
         circuit = nand_tree(2)
-        # The scalar exhaustive fallback carries its own (tighter) width
-        # guard: per-vector estimator walks cap out far below the batched
-        # oracle's limit.
+        # exhaustive=True refuses too-wide circuits before evaluating
+        # anything: the per-vector walk caps out far below the batched
+        # engine's limit, and the batched one at MAX_EXHAUSTIVE_INPUTS.
         stub = _ScalarOnlyEstimator(estimator)
         wide = random_logic("dispatch_wide", 17, 24, rng=4)
         with pytest.raises(ValueError, match="2\\*\\*17"):
-            minimum_leakage_vector(stub, wide, strategy="exhaustive")
-        # Search knobs are rejected uniformly on both exhaustive branches.
-        with pytest.raises(TypeError, match="strategy_options"):
-            minimum_leakage_vector(
-                stub, circuit, strategy="exhaustive",
-                strategy_options=GreedyOptions(),
+            minimum_leakage_vector(stub, wide, exhaustive=True)
+        wider = random_logic("dispatch_wider", MAX_EXHAUSTIVE_INPUTS + 1, 40, rng=4)
+        with pytest.raises(ValueError, match="2\\*\\*25"):
+            minimum_leakage_vector(estimator, wider, exhaustive=True)
+        # Search knobs are rejected on the deterministic oracle.
+        with pytest.raises(TypeError, match="takes no options"):
+            minimize_leakage(
+                estimator, circuit, strategy="exhaustive", options=GreedyOptions()
             )
         with pytest.raises(ValueError, match="islands"):
-            minimum_leakage_vector(
-                estimator, circuit, strategy="exhaustive", islands=2
-            )
+            minimize_leakage(estimator, circuit, strategy="exhaustive", islands=2)
 
     def test_strategy_argument_validation(self, estimator, small_circuit):
         with pytest.raises(ValueError, match="strategy must be one of"):
-            minimum_leakage_vector(estimator, small_circuit, strategy="anneal")
-        with pytest.raises(ValueError, match="candidate set"):
-            minimum_leakage_vector(
-                estimator, small_circuit, strategy="greedy", exhaustive=True
-            )
-        with pytest.raises(ValueError, match="candidate set"):
-            minimum_leakage_vector(
-                estimator,
-                small_circuit,
-                strategy="genetic",
-                vectors=[{}],
-            )
+            minimize_leakage(estimator, small_circuit, strategy="anneal")
         stub = _ScalarOnlyEstimator(estimator)
         with pytest.raises(ValueError, match="library-backed"):
-            minimum_leakage_vector(stub, small_circuit, strategy="greedy")
+            minimize_leakage(stub, small_circuit, strategy="greedy")
         with pytest.raises(TypeError, match="GreedyOptions"):
             minimize_leakage(
                 estimator,
