@@ -10,12 +10,12 @@ solved against all attached transistors, the result contains the full loading
 effect with no one-level approximation; the estimator's accuracy is measured
 against it (Fig. 12a).
 
-The production path is :meth:`ReferenceSimulator.estimate_batch`, which
-rides the batched SPICE layer: the circuit flattens *once*
-(:func:`repro.circuit.flatten.flatten_batch`) and all vectors of a chunk
+The production path is :func:`run_reference_campaign`, which rides the
+batched SPICE layer: per chunk of vectors the circuit flattens *once*
+(:func:`repro.circuit.flatten.flatten_batch`) and all vectors of the chunk
 solve together as one :class:`~repro.spice.batched.BatchedDcSolver` batch,
 which is what makes full-suite, many-vector reference validation campaigns
-(:func:`run_reference_campaign`) feasible.  Chunks are memory-bounded and —
+feasible.  Chunks are memory-bounded and —
 because every per-column update of the batched solver is independent of its
 batch neighbours — the results are bitwise independent of how the vector set
 is chunked, and of whether the chunks run in-process or across a supervised
@@ -39,7 +39,7 @@ from repro.core.report import CircuitLeakageReport, GateLeakage
 from repro.core.vectors import VectorCampaignResult
 from repro.device.params import TechnologyParams
 from repro.resilience import ResilienceOptions
-from repro.resilience.executor import default_workers, supervised_map
+from repro.resilience.executor import supervised_map
 from repro.spice.analysis import leakage_by_owner
 from repro.spice.batched import BatchedDcSolver
 from repro.spice.solver import DcSolver, SolverOptions
@@ -98,8 +98,9 @@ class ReferenceSimulator:
         # backend is recorded per report as metadata["solver_method"].
         self.solver_options = solver_options or SolverOptions(method="auto")
         #: Netlist pre-flight policy ("raise" | "warn" | "off"); applied
-        #: before every flatten so a malformed circuit is rejected with the
-        #: full finding list instead of 30 s into a DC solve.
+        #: before every :meth:`estimate` flatten so a malformed circuit is
+        #: rejected with the full finding list instead of 30 s into a DC
+        #: solve.
         self.lint = lint
 
     def _preflight(self, circuit: Circuit) -> None:
@@ -156,37 +157,17 @@ class ReferenceSimulator:
     # ------------------------------------------------------------------ #
     # batched path
     # ------------------------------------------------------------------ #
-    def estimate_batch(
-        self,
-        circuit: Circuit,
-        assignments: Iterable[dict[str, int]],
-        chunk_size: int = DEFAULT_REFERENCE_CHUNK_SIZE,
-    ) -> list[CircuitLeakageReport]:
-        """Return one reference report per assignment, solved in batches.
-
-        The circuit flattens once per chunk into a shared transistor
-        topology (:func:`flatten_batch`); all vectors of the chunk solve as
-        one :class:`BatchedDcSolver` batch and the per-owner leakage of the
-        whole chunk is aggregated in one array pass.  Because every
-        per-column solver update is independent of its batch neighbours,
-        the reports are bitwise identical whatever ``chunk_size`` splits the
-        assignment list — only peak memory changes.
-        """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self._preflight(circuit)
-        assignments = list(assignments)
-        reports: list[CircuitLeakageReport] = []
-        for lo in range(0, len(assignments), chunk_size):
-            reports.extend(
-                self._estimate_chunk(circuit, assignments[lo : lo + chunk_size])
-            )
-        return reports
-
     def _estimate_chunk(
         self, circuit: Circuit, assignments: list[dict[str, int]]
     ) -> list[CircuitLeakageReport]:
-        """Solve one memory-bounded chunk of assignments as a single batch."""
+        """Solve one memory-bounded chunk of assignments as a single batch.
+
+        The circuit flattens once into a shared transistor topology
+        (:func:`flatten_batch`); all vectors of the chunk solve as one
+        :class:`BatchedDcSolver` batch and the per-owner leakage of the
+        whole chunk is aggregated in one array pass.  No pre-flight runs
+        here: :func:`run_reference_campaign` lints once, before chunking.
+        """
         start = time.perf_counter()
         flattened = flatten_batch(circuit, self.technology, assignments)
         solver = BatchedDcSolver(
@@ -325,7 +306,6 @@ def run_reference_campaign(
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    workers = default_workers(max_workers)
     if vectors is None:
         vectors = list(random_vectors(circuit, count, rng))
     else:
@@ -339,27 +319,21 @@ def run_reference_campaign(
     # pool, not as the finding list: reject the circuit here, once.
     preflight_circuit(circuit, lint=lint)
     task = _ReferenceChunkTask(circuit, technology, temperature_k, solver_options)
-    chunks = [
-        vectors[start : start + chunk_size]
-        for start in range(0, len(vectors), chunk_size)
-    ]
-    workers = min(workers, len(chunks))
-    metadata: dict[str, object] = {}
-    if workers == 1 and resilience is None:
-        chunk_reports = [_reference_chunk_star((task, chunk)) for chunk in chunks]
-    else:
-        chunk_reports, metadata = supervised_map(
-            _reference_chunk_star,
-            [(task, chunk) for chunk in chunks],
-            workers,
-            resilience,
-            lambda: {
-                "kind": "reference-campaign",
-                "task": task,
-                "vectors": vectors,
-                "chunk_size": chunk_size,
-            },
-        )
+    chunk_reports, metadata = supervised_map(
+        _reference_chunk_star,
+        [
+            (task, vectors[start : start + chunk_size])
+            for start in range(0, len(vectors), chunk_size)
+        ],
+        max_workers,
+        resilience,
+        lambda: {
+            "kind": "reference-campaign",
+            "task": task,
+            "vectors": vectors,
+            "chunk_size": chunk_size,
+        },
+    )
     return VectorCampaignResult(
         circuit_name=circuit.name,
         method=ReferenceSimulator.method_name,

@@ -52,7 +52,7 @@ from repro.engine.campaign import DEFAULT_CHUNK_SIZE
 from repro.engine.compile import CompiledCircuit
 from repro.optimize.objective import LeakageObjective
 from repro.resilience import ResilienceOptions
-from repro.resilience.executor import default_workers, supervised_map
+from repro.resilience.executor import supervised_map
 from repro.utils.rng import RngLike, rng_state_token, spawn_streams
 from repro.utils.tables import format_table
 
@@ -409,14 +409,11 @@ def _run_islands(
     the chunk unit of checkpoint/resume: a resumed search skips completed
     islands and re-runs only the rest from their original streams.
     """
-    workers = min(default_workers(max_workers), len(tasks))
-    if workers == 1 and resilience is None:
-        return [_run_island(task) for task in tasks], {}
     first = tasks[0]
     return supervised_map(
         _run_island,
         tasks,
-        workers,
+        max_workers,
         resilience,
         lambda: {
             "kind": "island-search",
@@ -570,6 +567,16 @@ def genetic_minimize(
     )
 
 
+def _refuse_wide_exhaustive(n_inputs: int) -> None:
+    """Raise unless a ``2**n_inputs`` sweep is within the exhaustive cap."""
+    if n_inputs > MAX_EXHAUSTIVE_INPUTS:
+        raise ValueError(
+            f"exhaustive search over {n_inputs} inputs would evaluate "
+            f"2**{n_inputs} vectors; use strategy='greedy' or 'genetic' "
+            f"beyond {MAX_EXHAUSTIVE_INPUTS} inputs"
+        )
+
+
 def exhaustive_minimize(
     compiled: CompiledCircuit,
     include_loading: bool = True,
@@ -588,12 +595,7 @@ def exhaustive_minimize(
         compiled, include_loading=include_loading, chunk_size=chunk_size
     )
     n = objective.n_inputs
-    if n > MAX_EXHAUSTIVE_INPUTS:
-        raise ValueError(
-            f"exhaustive search over {n} inputs would evaluate 2**{n} vectors; "
-            "use strategy='greedy' or 'genetic' beyond "
-            f"{MAX_EXHAUSTIVE_INPUTS} inputs"
-        )
+    _refuse_wide_exhaustive(n)
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     best_total = np.inf
     best_code = 0
@@ -676,7 +678,6 @@ def minimize_leakage(
             "vector search requires a library-backed estimator exposing "
             f"'library' and 'include_loading' (got {type(estimator).__name__})"
         )
-    compiled = (session or default_session()).compiled(circuit, library)
     if strategy == "exhaustive":
         # The oracle is deterministic and streams one chunk at a time:
         # search knobs have no meaning here, and silently dropping them
@@ -693,6 +694,10 @@ def minimize_leakage(
                 "strategy='exhaustive' runs a serial stream; resilience "
                 "supervision applies to the island strategies"
             )
+        # Before the compile, which may characterize missing gate types.
+        _refuse_wide_exhaustive(len(circuit.primary_inputs))
+    compiled = (session or default_session()).compiled(circuit, library)
+    if strategy == "exhaustive":
         return exhaustive_minimize(
             compiled, include_loading=include_loading, chunk_size=chunk_size
         )

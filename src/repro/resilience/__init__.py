@@ -9,8 +9,9 @@ serial run produces.
 
 * :class:`ResilientExecutor` — supervised process-pool map with retries,
   backoff, deadlines and a :class:`RetryLedger`, configured by one
-  :class:`ResilienceOptions` bundle; ``executor.supervised_map`` is the
-  pooled path of every chunked driver (``executor``);
+  :class:`ResilienceOptions` bundle; ``executor.supervised_map`` is where
+  every chunked driver runs its chunks, in-process or pooled
+  (``executor``);
 * :class:`Checkpoint` — fingerprinted atomic checkpoint/resume
   (``checkpoint``);
 * :class:`FaultInjector` — deterministic seed-driven fault injection

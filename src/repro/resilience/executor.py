@@ -460,24 +460,31 @@ def default_workers(max_workers: int | None) -> int:
 def supervised_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
-    workers: int,
+    max_workers: int | None,
     resilience: ResilienceOptions | None,
     fingerprint_payload: Callable[[], dict[str, Any]],
 ) -> tuple[list[Any], dict[str, object]]:
-    """Run a chunked pool map under resilience supervision.
+    """Map ``fn`` over chunk ``items`` in-process or on a supervised pool.
 
-    The pooled path of every chunked driver (the reference campaign, the
+    The one place a chunked driver (the reference campaign, the
     Monte-Carlo study and the island fan-out of
-    :mod:`repro.optimize.search`): builds the supervised executor from
-    ``resilience`` (defaults apply when the caller passed ``None``), wires
-    up the fingerprinted checkpoint and the resume set when configured, and
-    returns ``(results, metadata)`` with the retry ledger under
-    ``metadata["resilience"]``.
+    :mod:`repro.optimize.search`) decides whether a pool starts.  The
+    worker count resolves through :func:`default_workers` and is clamped to
+    the chunk count; when that leaves one worker and ``resilience`` is
+    ``None`` the chunks run in this process, in order, and the metadata is
+    empty.  Otherwise the supervised executor is built from ``resilience``
+    (defaults apply when the caller passed ``None``), the fingerprinted
+    checkpoint and the resume set are wired up when configured, and the
+    retry ledger lands under ``metadata["resilience"]``.  Both paths return
+    ``(results in item order, metadata)``.
 
     ``fingerprint_payload`` is only called when a checkpoint is configured;
     it must return everything that can change a chunk result or the chunk
     layout (task definition, options, RNG state token, chunk count).
     """
+    workers = min(default_workers(max_workers), len(items))
+    if workers == 1 and resilience is None:
+        return [fn(item) for item in items], {}
     opts = resilience or ResilienceOptions()
     checkpoint = None
     completed = None

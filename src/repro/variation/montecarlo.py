@@ -648,25 +648,21 @@ def run_loaded_inverter_monte_carlo(
         streams = spawn_streams(rng, samples)
         fn = _simulate_batch_star
         items = [(task, streams[start : start + chunk]) for start in starts]
-    metadata: dict[str, object] = {"sampler": sampler}
-    if workers == 1 and resilience is None:
-        batches = [fn(item) for item in items]
-    else:
-        batches, pool_metadata = supervised_map(
-            fn,
-            items,
-            workers,
-            resilience,
-            lambda: {
-                "kind": "monte-carlo",
-                "sampler": sampler,
-                "task": task,
-                "samples": samples,
-                "chunks": len(items),
-                "rng": rng_token,
-            },
-        )
-        metadata.update(pool_metadata)
+    batches, pool_metadata = supervised_map(
+        fn,
+        items,
+        workers,
+        resilience,
+        lambda: {
+            "kind": "monte-carlo",
+            "sampler": sampler,
+            "task": task,
+            "samples": samples,
+            "chunks": len(items),
+            "rng": rng_token,
+        },
+    )
+    metadata: dict[str, object] = {"sampler": sampler, **pool_metadata}
     collected = [sample for batch in batches for sample in batch]
     if task.on_nonconverged == "drop":
         metadata["dropped_nonconverged"] = samples - len(collected)

@@ -24,7 +24,7 @@ import pytest
 from repro.circuit.generators import random_logic
 from repro.circuit.logic import random_vectors
 from repro.core.estimator import LoadingAwareEstimator
-from repro.core.reference import ReferenceSimulator
+from repro.core.reference import run_reference_campaign
 from repro.core.report import REPORT_COMPONENTS
 from repro.core.vectors import run_vector_campaign
 from repro.spice.solver import SolverOptions
@@ -83,10 +83,12 @@ def test_newton_matches_gauss_seidel_on_random_circuits(seed, bulk25):
     vectors = list(random_vectors(circuit, 4, rng=vector_rng))
     reports = {}
     for method in ("newton", "gauss-seidel"):
-        simulator = ReferenceSimulator(
-            bulk25, solver_options=SolverOptions(method=method, **TIGHT)
-        )
-        reports[method] = simulator.estimate_batch(circuit, vectors)
+        reports[method] = run_reference_campaign(
+            circuit,
+            bulk25,
+            vectors=vectors,
+            solver_options=SolverOptions(method=method, **TIGHT),
+        ).reports
     for newton, oracle in zip(reports["newton"], reports["gauss-seidel"]):
         for component in REPORT_COMPONENTS:
             observed = np.array([newton.component(component)])

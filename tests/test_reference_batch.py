@@ -2,7 +2,7 @@
 
 The contract mirrors the batched campaign engine's: the scalar
 :meth:`ReferenceSimulator.estimate` relaxation is the oracle, and
-:meth:`ReferenceSimulator.estimate_batch` must reproduce its per-gate
+:func:`run_reference_campaign` must reproduce its per-gate
 breakdowns and totals to solver-tolerance error while being *bitwise*
 independent of how a vector set is grouped into batches (chunk sizes,
 batch neighbours, pool workers).
@@ -97,7 +97,9 @@ class TestBatchedMatchesScalar:
         circuit = iscas_like("s838", scale=0.05)
         vectors = list(random_vectors(circuit, 4, rng=3))
         simulator = ReferenceSimulator(d25s, solver_options=self.GS)
-        batched = simulator.estimate_batch(circuit, vectors)
+        batched = run_reference_campaign(
+            circuit, d25s, vectors=vectors, solver_options=self.GS
+        ).reports
         for report, vector in zip(batched, vectors):
             _assert_reports_match(report, simulator.estimate(circuit, vector))
             assert report.metadata["batch"] == len(vectors)
@@ -111,7 +113,9 @@ class TestBatchedMatchesScalar:
             for i in (0, 21, 63)
         ]
         simulator = ReferenceSimulator(d25s, solver_options=self.GS)
-        batched = simulator.estimate_batch(circuit, vectors)
+        batched = run_reference_campaign(
+            circuit, d25s, vectors=vectors, solver_options=self.GS
+        ).reports
         for report, vector in zip(batched, vectors):
             _assert_reports_match(report, simulator.estimate(circuit, vector))
 
@@ -120,10 +124,12 @@ class TestBatchCompositionInvariance:
     def test_chunk_size_is_bitwise_neutral(self, d25s):
         circuit = nand_tree(2)
         vectors = list(random_vectors(circuit, 5, rng=7))
-        simulator = ReferenceSimulator(d25s)
-        whole = simulator.estimate_batch(circuit, vectors, chunk_size=5)
-        chunked = simulator.estimate_batch(circuit, vectors, chunk_size=2)
-        solo = simulator.estimate_batch(circuit, vectors, chunk_size=1)
+        whole, chunked, solo = (
+            run_reference_campaign(
+                circuit, d25s, vectors=vectors, chunk_size=chunk_size
+            ).reports
+            for chunk_size in (5, 2, 1)
+        )
         for a, b, c in zip(whole, chunked, solo):
             assert _bitwise_equal(a, b)
             assert _bitwise_equal(a, c)
@@ -138,10 +144,9 @@ class TestBatchCompositionInvariance:
             + list(random_vectors(circuit, 2, rng=11))
             + [{net: 1 for net in inputs}]
         )
-        simulator = ReferenceSimulator(d25s)
-        together = simulator.estimate_batch(circuit, vectors)
+        together = run_reference_campaign(circuit, d25s, vectors=vectors).reports
         for vector, report in zip(vectors, together):
-            [alone] = simulator.estimate_batch(circuit, [vector])
+            [alone] = run_reference_campaign(circuit, d25s, vectors=[vector]).reports
             assert _bitwise_equal(report, alone)
         # The corner vectors really are in the batch (and differ).
         assert together[0].input_assignment == {net: 0 for net in inputs}
@@ -149,9 +154,10 @@ class TestBatchCompositionInvariance:
         assert together[0].total != together[-1].total
 
     def test_chunk_size_validation(self, d25s):
-        simulator = ReferenceSimulator(d25s)
         with pytest.raises(ValueError, match="chunk_size"):
-            simulator.estimate_batch(nand_tree(1), [{"in0": 0, "in1": 0}], chunk_size=0)
+            run_reference_campaign(
+                nand_tree(1), d25s, vectors=[{"in0": 0, "in1": 0}], chunk_size=0
+            )
 
 
 class TestReferenceCampaign:
@@ -234,9 +240,8 @@ class TestMissingOwnerDiagnostic:
             return result
 
         monkeypatch.setattr(BatchedDcSolver, "leakage_by_owner", dropping)
-        simulator = ReferenceSimulator(d25s)
         with pytest.raises(RuntimeError) as excinfo:
-            simulator.estimate_batch(inverter_chain(2), [{"in": 0}])
+            run_reference_campaign(inverter_chain(2), d25s, vectors=[{"in": 0}])
         message = str(excinfo.value)
         assert "'inv1'" in message
         assert "template 'inv'" in message

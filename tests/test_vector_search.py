@@ -178,6 +178,21 @@ class TestOracleParity:
         with pytest.raises(ValueError, match="greedy"):
             exhaustive_minimize(compiled)
 
+    def test_front_door_refuses_wide_circuits_before_compiling(self, estimator):
+        from repro.service import EstimationSession
+
+        session = EstimationSession()
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before the width check")
+
+        session.compiled = no_compile
+        wide = random_logic("opt_wide_front", MAX_EXHAUSTIVE_INPUTS + 1, 30, rng=2)
+        with pytest.raises(ValueError, match="2\\*\\*25"):
+            minimize_leakage(
+                estimator, wide, strategy="exhaustive", session=session
+            )
+
 
 class TestReproducibility:
     def test_greedy_is_island_split_invariant(self, compiled_small):
